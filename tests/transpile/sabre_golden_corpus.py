@@ -10,6 +10,11 @@ stream (hashed), and the initial/final layouts.
 
     PYTHONPATH=src python tests/transpile/sabre_golden_corpus.py
 
+The device cases (heavy-hex, FAA-Triangular, long-range FAA from a dense
+layout, and a 100-qubit multipartite graph) were added later, generated from
+the incremental scorer with its per-ext-pair extended-set loop, before that
+loop became one broadcast; the entries before them were left byte-identical.
+
 Regenerating it with a behaviour-changing SABRE is exactly the failure the
 golden test exists to catch — only regenerate after an *intentional*
 algorithm change, and say so in the commit.
@@ -42,8 +47,63 @@ def _multipartite_case():
     return circ, arch.multipartite_coupling(assignment)
 
 
+def _lowered_qaoa(num_qubits, seed):
+    from repro.circuits.decompose import lower_to_two_qubit
+    from repro.generators import qaoa_random
+
+    return lower_to_two_qubit(qaoa_random(num_qubits, seed=seed).without_directives())
+
+
+def _heavy_hex(num_qubits):
+    """The superconducting baseline's heavy-hex device (127+ qubits)."""
+    from repro.hardware.superconducting import SuperconductingArchitecture
+
+    return SuperconductingArchitecture.for_circuit(num_qubits).coupling_map()
+
+
+def _faa(num_qubits, topology):
+    from repro.hardware.faa import FAAArchitecture
+
+    return FAAArchitecture.for_circuit(num_qubits, topology=topology).coupling_map()
+
+
+def _multipartite100():
+    """QAOA-rand-100-sized complete multipartite graph over three arrays."""
+    from repro.hardware import RAAArchitecture
+
+    arch = RAAArchitecture.default(side=10, num_aods=2)
+    return arch.multipartite_coupling([i % 3 for i in range(100)])
+
+
+#: Device cases beyond the small grids: the Fig. 13 baselines' maps and an
+#: Atomique-sized multipartite graph.  ``name -> (circuit, coupling)``.
+_DEVICE_CASES = {
+    "heavyhex-qaoa20": (lambda: _lowered_qaoa(20, 20), lambda: _heavy_hex(20)),
+    "faatri-rand16": (
+        lambda: _grid_random(16, 6.0, 4.0, 16),
+        lambda: _faa(16, "triangular"),
+    ),
+    "faalr-qaoa20": (lambda: _lowered_qaoa(20, 21), lambda: _faa(20, "long_range")),
+    "mp-qaoa100": (lambda: _lowered_qaoa(100, 100), _multipartite100),
+}
+
+
+def _trivial(num_logical, coupling):
+    from repro.transpile import Layout
+
+    return Layout.trivial(num_logical)
+
+
+def _dense(num_logical, coupling):
+    from repro.transpile import dense_layout
+
+    return dense_layout(num_logical, coupling)
+
+
 def route_cases():
-    """``name -> (circuit_factory, coupling_factory, route_seed)``."""
+    """``name -> (circuit_factory, coupling_factory, route_seed,
+    initial_layout_factory)``; the layout factory takes
+    ``(num_logical, coupling)``."""
     from repro.circuits import QuantumCircuit
     from repro.hardware import CouplingMap, grid_coupling
 
@@ -52,11 +112,13 @@ def route_cases():
             lambda: QuantumCircuit(3).cx(0, 2),
             lambda: CouplingMap(3, [(0, 1), (1, 2)]),
             0,
+            _trivial,
         ),
         "mp-qaoa10": (
             lambda: _multipartite_case()[0],
             lambda: _multipartite_case()[1],
             7,
+            _trivial,
         ),
     }
     for seed in (0, 1, 2):
@@ -64,7 +126,12 @@ def route_cases():
             lambda seed=seed: _grid_random(12, 6.0, 4.0, seed),
             lambda: grid_coupling(4, 3),
             seed,
+            _trivial,
         )
+    for name, (circ_f, cm_f) in _DEVICE_CASES.items():
+        # The long-range FAA baseline routes from a dense static layout.
+        lay_f = _dense if name.startswith("faalr") else _trivial
+        cases[name] = (circ_f, cm_f, 7, lay_f)
     return cases
 
 
@@ -85,6 +152,9 @@ def layout_cases():
             3,
             9,
         ),
+    } | {
+        f"layout-{name}": (circ_f, cm_f, 2, 7)
+        for name, (circ_f, cm_f) in _DEVICE_CASES.items()
     }
 
 
@@ -100,6 +170,9 @@ def full_cases():
             2,
             3,
         ),
+    } | {
+        f"full-{name}": (circ_f, cm_f, 2, 7)
+        for name, (circ_f, cm_f) in _DEVICE_CASES.items()
     }
 
 
@@ -139,12 +212,12 @@ def layout_fingerprint(layout) -> dict:
 
 
 def capture_all() -> dict:
-    from repro.transpile import Layout, route_with_sabre, sabre_layout, sabre_route
+    from repro.transpile import route_with_sabre, sabre_layout, sabre_route
 
     out: dict = {"route": {}, "layout": {}, "full": {}}
-    for name, (circ_f, cm_f, seed) in sorted(route_cases().items()):
-        circ = circ_f()
-        res = sabre_route(circ, cm_f(), Layout.trivial(circ.num_qubits), seed=seed)
+    for name, (circ_f, cm_f, seed, lay_f) in sorted(route_cases().items()):
+        circ, cm = circ_f(), cm_f()
+        res = sabre_route(circ, cm, lay_f(circ.num_qubits, cm), seed=seed)
         out["route"][name] = route_fingerprint(res)
     for name, (circ_f, cm_f, iters, seed) in sorted(layout_cases().items()):
         lay = sabre_layout(circ_f(), cm_f(), num_iterations=iters, seed=seed)

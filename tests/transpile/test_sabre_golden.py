@@ -38,9 +38,9 @@ def golden():
 
 @pytest.mark.parametrize("name", sorted(route_cases()))
 def test_route_matches_golden(name, golden):
-    circ_f, cm_f, seed = route_cases()[name]
-    circ = circ_f()
-    res = sabre_route(circ, cm_f(), Layout.trivial(circ.num_qubits), seed=seed)
+    circ_f, cm_f, seed, lay_f = route_cases()[name]
+    circ, cm = circ_f(), cm_f()
+    res = sabre_route(circ, cm, lay_f(circ.num_qubits, cm), seed=seed)
     assert route_fingerprint(res) == golden["route"][name]
 
 
