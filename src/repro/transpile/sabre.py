@@ -20,10 +20,13 @@ Scoring is *incremental* (:class:`_IncrementalScorer`): front and extended
 pair costs are running integer sums, each candidate edge carries the exact
 integer cost *delta* its swap would cause, and a committed swap only
 refreshes the deltas of candidates touching the swapped qubits (or the
-partners of pairs they host).  All bookkeeping is integer-exact, so the
-floating-point scores — and therefore the chosen swap sequence — are
-bit-identical to the naive rescoring loop (pinned by the golden corpus in
+partners of pairs they host).  Extended-set deltas come from one
+candidates x ext-pairs broadcast, in which a pair the swap leaves alone adds
+exactly 0.  All bookkeeping is integer-exact, so the floating-point scores —
+and therefore the chosen swap sequence — are bit-identical to the naive
+rescoring loop (pinned by the golden corpus in
 ``tests/transpile/golden_sabre.json`` and a per-decision differential test).
+Layout-search routes run the same loop without building an output circuit.
 """
 
 from __future__ import annotations
@@ -97,8 +100,9 @@ class _IncrementalScorer:
     front / extended-set distances.  Because front-layer gates are pairwise
     qubit-disjoint, every active physical qubit has exactly one front
     partner, which makes the front delta a handful of vectorized distance
-    gathers; extended-set pairs may share qubits, so their delta is
-    accumulated per ext pair over the candidates that touch one.
+    gathers; extended-set pairs may share qubits, so their delta maps both
+    endpoints of every pair through every candidate's swap in one
+    broadcast and sums the distance changes per candidate.
 
     An *epoch* spans the decisions between two front-layer changes:
     :meth:`begin_epoch` rebuilds the pair structures and scores every
@@ -159,31 +163,20 @@ class _IncrementalScorer:
         return d
 
     def _ext_delta(self, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
-        """Exact integer extended-set cost change per candidate swap."""
+        """Exact integer extended-set cost change per candidate swap, as one
+        candidates x ext-pairs broadcast (an untouched pair adds exactly 0)."""
         d = np.zeros(len(s1), dtype=np.int64)
         if not self._E:
             return d
         sub = np.flatnonzero(self._hostext[s1] | self._hostext[s2])
         if not len(sub):
             return d
+        ss1, ss2 = s1[sub, None], s2[sub, None]
+        u, v = self._pea[None, :], self._peb[None, :]
+        a = np.where(ss1 == u, ss2, np.where(ss2 == u, ss1, u))
+        b = np.where(ss1 == v, ss2, np.where(ss2 == v, ss1, v))
         dist = self._dist
-        ss1, ss2 = s1[sub], s2[sub]
-        acc = np.zeros(len(sub), dtype=np.int64)
-        for k in range(self._E):
-            u = int(self._pea[k])
-            v = int(self._peb[k])
-            t1u = ss1 == u
-            t2u = ss2 == u
-            t1v = ss1 == v
-            t2v = ss2 == v
-            touched = t1u | t2u | t1v | t2v
-            if not touched.any():
-                continue
-            idx = np.flatnonzero(touched)
-            a = np.where(t1u[idx], ss2[idx], np.where(t2u[idx], ss1[idx], u))
-            b = np.where(t1v[idx], ss2[idx], np.where(t2v[idx], ss1[idx], v))
-            acc[idx] += dist[a, b].astype(np.int64) - int(dist[u, v])
-        d[sub] = acc
+        d[sub] = (dist[a, b] - dist[u, v]).sum(axis=1, dtype=np.int64)
         return d
 
     # -- epoch lifecycle -------------------------------------------------------
@@ -364,6 +357,7 @@ def sabre_route(
     seed: int = 7,
     dag: DAGCircuit | None = None,
     _audit=None,
+    _emit: bool = True,
 ) -> SabreResult:
     """Route *circuit* onto *coupling* inserting SWAPs, SABRE-style.
 
@@ -375,7 +369,9 @@ def sabre_route(
     the layout search's 2xN reverse traversals — skip reconstruction.
     ``_audit`` is a test hook called once per swap decision with the
     scorer's candidate arrays and the exact state a naive rescoring loop
-    needs to reproduce them.
+    needs to reproduce them.  ``_emit=False`` (the layout search, which
+    keeps only the final layout) runs the same decisions without building
+    the routed circuit: the result's circuit stays empty.
     """
     if circuit.num_qubits > coupling.num_qubits:
         raise ValueError(
@@ -421,8 +417,9 @@ def sabre_route(
                     pb = int(l2p[qb])
                     if pb not in adj[pa]:
                         continue
-                    out.append(Gate(g.name, (pa, pb), g.params))
-                else:
+                    if _emit:
+                        out.append(Gate(g.name, (pa, pb), g.params))
+                elif _emit:
                     out.append(
                         Gate(g.name, tuple(int(l2p[q]) for q in g.qubits), g.params)
                     )
@@ -452,8 +449,9 @@ def sabre_route(
         chosen = scorer.select(decay, rng)
         p1, p2 = scorer.edge(chosen)
 
-        out.append(Gate("swap", (p1, p2)))
-        swap_indices.append(len(out) - 1)
+        if _emit:
+            out.append(Gate("swap", (p1, p2)))
+            swap_indices.append(len(out) - 1)
         num_swaps += 1
         scorer.commit(chosen)
         decay[p1] += DECAY_INCREMENT
@@ -492,20 +490,19 @@ def sabre_layout(
     final layout of each pass in as the initial layout of the next.  The
     forward/backward dependency DAGs are built once and reset per route
     instead of reconstructed 2x per iteration; callers that already hold
-    them (:func:`route_with_sabre`) can pass them in.
+    them (:func:`route_with_sabre`) can pass them in.  The routes build no
+    output circuit and read only *circuit*'s width, so the backward route
+    takes *circuit* too (the DAGs drop directives themselves).
     """
     layout = initial_layout or _spread_layout(circuit.num_qubits, coupling, seed)
-    forward = circuit.without_directives()
-    backward = circuit.reversed()
-    fwd = forward_dag if forward_dag is not None else DAGCircuit(forward)
-    bwd = backward_dag if backward_dag is not None else DAGCircuit(backward)
+    fwd = forward_dag if forward_dag is not None else DAGCircuit(circuit)
+    bwd = backward_dag if backward_dag is not None else DAGCircuit(circuit.reversed())
     for it in range(num_iterations):
-        res_f = sabre_route(forward, coupling, layout, seed=seed + 2 * it, dag=fwd)
-        layout = res_f.final_layout
-        res_b = sabre_route(
-            backward, coupling, layout, seed=seed + 2 * it + 1, dag=bwd
-        )
-        layout = res_b.final_layout
+        for k, dag in enumerate((fwd, bwd)):
+            layout = sabre_route(
+                circuit, coupling, layout, seed=seed + 2 * it + k, dag=dag,
+                _emit=False,
+            ).final_layout
     return layout
 
 
@@ -524,15 +521,14 @@ def route_with_sabre(
     initial_layout: Layout | None = None,
 ) -> SabreResult:
     """Full SABRE pipeline: layout search then final routing pass."""
-    clean = circuit.without_directives()
-    fwd_dag = DAGCircuit(clean)
+    fwd_dag = DAGCircuit(circuit)  # directives dropped, as in every route
     if initial_layout is None:
         initial_layout = sabre_layout(
-            clean,
+            circuit,
             coupling,
             num_iterations=layout_iterations,
             seed=seed,
             forward_dag=fwd_dag,
-            backward_dag=DAGCircuit(clean.reversed()),
+            backward_dag=DAGCircuit(circuit.reversed()),
         )
-    return sabre_route(clean, coupling, initial_layout, seed=seed, dag=fwd_dag)
+    return sabre_route(circuit, coupling, initial_layout, seed=seed, dag=fwd_dag)

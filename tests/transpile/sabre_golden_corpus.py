@@ -35,23 +35,21 @@ def _grid_random(num_qubits, gates_per_qubit, degree, seed):
     return random_circuit(num_qubits, gates_per_qubit, degree, seed=seed)
 
 
-def _multipartite_case():
-    """SABRE on the RAA complete multipartite graph (Atomique's SWAP pass)."""
-    from repro.circuits.decompose import lower_to_two_qubit
-    from repro.generators import qaoa_random
-    from repro.hardware import RAAArchitecture
-
-    circ = lower_to_two_qubit(qaoa_random(10, seed=10).without_directives())
-    arch = RAAArchitecture.default(side=4, num_aods=2)
-    assignment = [i % 3 for i in range(10)]
-    return circ, arch.multipartite_coupling(assignment)
-
-
 def _lowered_qaoa(num_qubits, seed):
     from repro.circuits.decompose import lower_to_two_qubit
     from repro.generators import qaoa_random
 
     return lower_to_two_qubit(qaoa_random(num_qubits, seed=seed).without_directives())
+
+
+def _multipartite_case():
+    """SABRE on the RAA complete multipartite graph (Atomique's SWAP pass)."""
+    from repro.hardware import RAAArchitecture
+
+    circ = _lowered_qaoa(10, 10)
+    arch = RAAArchitecture.default(side=4, num_aods=2)
+    assignment = [i % 3 for i in range(10)]
+    return circ, arch.multipartite_coupling(assignment)
 
 
 def _heavy_hex(num_qubits):

@@ -5,19 +5,26 @@ rescoring implementation; the incremental rewrite must reproduce every swap
 sequence, final layout, and routed gate stream bit-for-bit.  The
 differential test replays real routing runs and cross-checks the scorer's
 delta-maintained candidate scores against a from-scratch naive rescoring
-loop at every single swap decision.
+loop at every single swap decision.  A hypothesis differential checks the
+extended-set broadcast against the per-ext-pair loop it replaced, and the
+layout search's output-free routes against emitting ones.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.circuits import QuantumCircuit, random_circuit
 from repro.circuits.decompose import lower_to_two_qubit
 from repro.generators import qaoa_random
-from repro.hardware import RAAArchitecture, grid_coupling
+from repro.hardware import CouplingMap, RAAArchitecture, grid_coupling
 from repro.transpile import Layout, route_with_sabre, sabre_layout, sabre_route
 from repro.transpile.sabre import (
+    EXTENDED_SET_SIZE,
     EXTENDED_SET_WEIGHT,
+    _IncrementalScorer,
+    _spread_layout,
     sabre_route as _sabre_route,
 )
 
@@ -151,3 +158,152 @@ def test_prebuilt_dag_reuse_matches_fresh():
     fresh = sabre_route(circ, cm, Layout.trivial(10), seed=3)
     assert route_fingerprint(first) == route_fingerprint(fresh)
     assert route_fingerprint(again) == route_fingerprint(fresh)
+
+
+# -- extended-set deltas: one broadcast == the per-ext-pair loop ---------------
+
+
+def loop_ext_delta(dist, pea, peb, hostext, s1, s2):
+    """The per-ext-pair loop the broadcast replaced, verbatim semantics.
+
+    For every extended-set pair, gathers the candidates that touch one of
+    its physical endpoints and accumulates the pair's distance change.
+    """
+    d = np.zeros(len(s1), dtype=np.int64)
+    if not len(pea):
+        return d
+    sub = np.flatnonzero(hostext[s1] | hostext[s2])
+    if not len(sub):
+        return d
+    ss1, ss2 = s1[sub], s2[sub]
+    acc = np.zeros(len(sub), dtype=np.int64)
+    for k in range(len(pea)):
+        u = int(pea[k])
+        v = int(peb[k])
+        t1u = ss1 == u
+        t2u = ss2 == u
+        t1v = ss1 == v
+        t2v = ss2 == v
+        touched = t1u | t2u | t1v | t2v
+        if not touched.any():
+            continue
+        idx = np.flatnonzero(touched)
+        a = np.where(t1u[idx], ss2[idx], np.where(t2u[idx], ss1[idx], u))
+        b = np.where(t1v[idx], ss2[idx], np.where(t2v[idx], ss1[idx], v))
+        acc[idx] += dist[a, b].astype(np.int64) - int(dist[u, v])
+    d[sub] = acc
+    return d
+
+
+@st.composite
+def ext_cases(draw):
+    """``(num_physical, edges, l2p, ext_pairs)`` on a random coupling.
+
+    Edges may leave the graph disconnected (sentinel distances); extended
+    pairs may share qubits, repeat, or be absent altogether.
+    """
+    n = draw(st.integers(2, 9))
+    edges = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                lambda e: e[0] < e[1]
+            ),
+            unique=True,
+            max_size=2 * n,
+        )
+    )
+    num_logical = draw(st.integers(2, n))
+    l2p = draw(st.permutations(range(n)))[:num_logical]
+    pair = st.lists(
+        st.integers(0, num_logical - 1), min_size=2, max_size=2, unique=True
+    ).map(tuple)
+    ext = draw(st.lists(pair, max_size=EXTENDED_SET_SIZE))
+    return n, edges, l2p, ext
+
+
+def _check_ext_delta(n, edges, l2p, ext):
+    """Broadcast deltas == loop deltas for every ordered physical pair."""
+    scorer = _IncrementalScorer(CouplingMap(n, edges), np.array(l2p, np.int64))
+    scorer.begin_epoch([(0, 1)], ext)
+    s1, s2 = (a.ravel() for a in np.indices((n, n)))
+    keep = s1 != s2
+    s1, s2 = s1[keep], s2[keep]
+    got = scorer._ext_delta(s1, s2)
+    want = loop_ext_delta(
+        scorer._dist, scorer._pea, scorer._peb, scorer._hostext, s1, s2
+    )
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+    return dict(zip(zip(s1.tolist(), s2.tolist()), got.tolist()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ext_cases())
+@example((4, [(0, 1), (1, 2), (2, 3)], [0, 1, 2, 3], []))
+@example((6, [(i, i + 1) for i in range(5)], [0, 1, 2, 3, 4, 5], [(0, 3)] * 3))
+def test_ext_delta_broadcast_matches_loop(case):
+    _check_ext_delta(*case)
+
+
+class TestExtDeltaCases:
+    """The shapes the broadcast must get right, pinned by value."""
+
+    line = [(i, i + 1) for i in range(7)]
+
+    def test_candidate_swaps_both_endpoints_of_one_pair(self):
+        deltas = _check_ext_delta(8, self.line, list(range(8)), [(1, 4)])
+        # Exchanging a pair's endpoints keeps its distance.
+        assert deltas[(1, 4)] == 0 and deltas[(4, 1)] == 0
+        assert deltas[(1, 2)] == -1 and deltas[(4, 5)] == 1
+
+    def test_pairs_sharing_qubits(self):
+        deltas = _check_ext_delta(8, self.line, list(range(8)), [(0, 3), (3, 6)])
+        # Moving the shared qubit 3 to 4 shortens one pair, stretches one.
+        assert deltas[(3, 4)] == 0
+        assert deltas[(0, 1)] == -1 and deltas[(5, 6)] == -1
+        assert deltas[(3, 0)] == 3  # (0, 3) keeps 3, (3, 6) grows by 3
+
+    def test_empty_extended_set(self):
+        deltas = _check_ext_delta(8, self.line, list(range(8)), [])
+        assert set(deltas.values()) == {0}
+
+    def test_candidate_touching_no_ext_host(self):
+        deltas = _check_ext_delta(8, self.line, list(range(8)), [(0, 2)])
+        assert deltas[(5, 6)] == 0 and deltas[(4, 7)] == 0
+        assert deltas[(2, 3)] == 1
+
+
+# -- output-free layout-search routes ------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(route_cases()))
+def test_route_without_output_keeps_final_layout(name, golden):
+    circ_f, cm_f, seed, lay_f = route_cases()[name]
+    circ, cm = circ_f(), cm_f()
+    res = sabre_route(circ, cm, lay_f(circ.num_qubits, cm), seed=seed, _emit=False)
+    want = golden["route"][name]
+    assert route_fingerprint(res)["final_layout"] == want["final_layout"]
+    assert res.num_swaps == want["num_swaps"]
+    assert not res.circuit.gates and not res.swap_gate_indices
+
+
+def _emitting_layout_search(circuit, coupling, num_iterations, seed):
+    """``sabre_layout`` with every forward/backward route building output."""
+    layout = _spread_layout(circuit.num_qubits, coupling, seed)
+    forward, backward = circuit.without_directives(), circuit.reversed()
+    for it in range(num_iterations):
+        layout = sabre_route(forward, coupling, layout, seed=seed + 2 * it).final_layout
+        layout = sabre_route(
+            backward, coupling, layout, seed=seed + 2 * it + 1
+        ).final_layout
+    return layout
+
+
+@pytest.mark.parametrize("name", sorted(layout_cases()) + sorted(full_cases()))
+def test_layout_search_without_output_matches_emitting(name):
+    cases = {**layout_cases(), **full_cases()}
+    circ_f, cm_f, iters, seed = cases[name]
+    circ, cm = circ_f(), cm_f()
+    assert sabre_layout(circ, cm, num_iterations=iters, seed=seed).as_dict() == (
+        _emitting_layout_search(circ, cm, iters, seed).as_dict()
+    )
