@@ -198,8 +198,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
         if args.fetch_program:
             from .core.serialize import dumps
 
-            if program is None:  # pre-streaming daemon: classic fetch
-                program = client.program(job_ids[0])
             Path(args.fetch_program).write_text(dumps(program, indent=2))
             print(f"stage program written to {args.fetch_program}")
         return 0

@@ -11,9 +11,8 @@ the same logical v2 document as typed little-endian blobs):
   :class:`~repro.core.program.ProgramStore`: flat arrays of numbers per
   field plus the CSR stage-offset table.  For large programs this removes
   the per-gate dict overhead (no repeated keys) and encodes/decodes in
-  bulk; it is the format the service wire's program codec uses
-  (:func:`repro.service.wire.encode_program`).  Decodes to a
-  :class:`ProgramStore`.
+  bulk; it is the JSON document the REST gateway serves for a program
+  (the daemon socket ships v3).  Decodes to a :class:`ProgramStore`.
 
 ``json`` emits floats with ``repr``-exact shortest round-trip text, so both
 formats preserve every field the fidelity model reads bit-for-bit.
@@ -297,10 +296,9 @@ def iter_program_doc_chunks(
 ) -> "Iterator[dict[str, Any]]":
     """Slice a v2 columnar document into self-contained stage-range chunks.
 
-    Operates on the raw document (no :class:`ProgramStore` is built), so a
-    server can stream a spooled program without decoding it.  Each chunk
-    has the :meth:`ProgramStore.chunk_doc` shape: ``stages``, ``columns``,
-    and ``stage_offsets`` rebased to 0.
+    Operates on the raw document (no :class:`ProgramStore` is built).  Each
+    chunk has the :meth:`ProgramStore.chunk_doc` shape: ``stages``,
+    ``columns``, and ``stage_offsets`` rebased to 0.
     """
     if doc.get("format_version") != COLUMNAR_FORMAT_VERSION:
         raise ValueError(

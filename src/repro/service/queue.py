@@ -26,9 +26,8 @@ Layout of a spool directory::
                               behind a 2-byte magic (sniffed on read, so
                               pre-existing plain-JSON spools still load)
       programs/<job_id>.bin   v3 binary columnar programs of DONE jobs
-                              submitted with ``keep_program``
-                              (``.json`` v2 documents from older daemons
-                              are still read)
+                              submitted with ``keep_program`` (a retired
+                              v2 ``.json`` document is refused, not read)
       progress/<job_id>.jsonl per-pass progress events appended by the
                               worker mid-compile (one JSON object per
                               line), surfaced by ``status`` and the
@@ -98,7 +97,8 @@ class JobState(str, Enum):
 
 
 class QueueError(RuntimeError):
-    """An operation referenced a job the queue does not hold."""
+    """An operation referenced a job the queue does not hold, or spooled
+    data in a format the queue no longer reads."""
 
 
 @dataclass
@@ -199,7 +199,7 @@ class JobQueue:
     ) -> None:
         self._records: dict[str, JobRecord] = {}
         self._memory_results: dict[str, dict[str, Any]] = {}
-        self._memory_programs: dict[str, dict[str, Any] | bytes] = {}
+        self._memory_programs: dict[str, bytes] = {}
         self._memory_progress: dict[str, list[dict[str, Any]]] = {}
         self._by_key: dict[str, str] = {}
         self._seq = 0
@@ -496,67 +496,39 @@ class JobQueue:
             encoded = SPOOL_DEFLATE_MAGIC + zlib.compress(encoded)
         _atomic_write_bytes(path, encoded, site="spool.result")
 
-    def store_program(
-        self, job_id: str, payload: dict[str, Any] | bytes
-    ) -> None:
-        """Persist the compiled program of a ``keep_program`` job.
-
-        ``bytes`` is a v3 binary columnar record (``programs/<id>.bin``);
-        a dict is the legacy v2 JSON document (``programs/<id>.json``).
-        """
+    def store_program(self, job_id: str, record: bytes) -> None:
+        """Persist the v3 binary record of a ``keep_program`` job's
+        compiled program (``programs/<id>.bin``)."""
         if self.spool_dir is None:
-            self._memory_programs[job_id] = payload
+            self._memory_programs[job_id] = record
             return
         programs = self.spool_dir / "programs"
         programs.mkdir(parents=True, exist_ok=True)
-        if isinstance(payload, bytes):
-            path = programs / f"{job_id}.bin"
-            _atomic_write_bytes(path, payload, site="spool.result")
-        else:
-            path = programs / f"{job_id}.json"
-            _atomic_write_text(path, json.dumps(payload), site="spool.result")
+        _atomic_write_bytes(
+            programs / f"{job_id}.bin", record, site="spool.result"
+        )
 
     def load_program_bytes(self, job_id: str) -> bytes | None:
         """The v3 binary record of a DONE ``keep_program`` job, or None.
 
-        Only returns the binary form — a job spooled as legacy v2 JSON
-        (or by an unupgraded daemon) yields None here and loads through
-        :meth:`load_program` instead.
+        Raises :class:`QueueError` when the spool holds only the job's
+        retired v2 JSON document (``programs/<id>.json``).
         """
         record = self.get(job_id)
         if record.state is not JobState.DONE:
             return None
         if self.spool_dir is None:
-            payload = self._memory_programs.get(job_id)
-            return payload if isinstance(payload, bytes) else None
+            return self._memory_programs.get(job_id)
         path = self.spool_dir / "programs" / f"{job_id}.bin"
         try:
             return path.read_bytes()
         except OSError:
-            return None
-
-    def load_program(self, job_id: str) -> dict[str, Any] | None:
-        """The wire-encoded (v2 dict) program of a DONE ``keep_program``
-        job, decoding a binary spool record when that is what is stored."""
-        raw = self.load_program_bytes(job_id)
-        if raw is not None:
-            from ..core import binformat, serialize
-
-            try:
-                store = binformat.decode_program(raw)
-                return serialize.program_to_dict(store, columnar=True)
-            except (ValueError, KeyError, TypeError):
-                return None
-        record = self.get(job_id)
-        if record.state is not JobState.DONE:
-            return None
-        if self.spool_dir is None:
-            payload = self._memory_programs.get(job_id)
-            return payload if isinstance(payload, dict) else None
-        path = self.spool_dir / "programs" / f"{job_id}.json"
-        try:
-            return json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+            if path.with_suffix(".json").exists():
+                raise QueueError(
+                    f"program of {job_id} is in the retired v2 JSON spool "
+                    f"format (programs/{job_id}.json); this daemon reads "
+                    "only v3 binary records — resubmit the job"
+                ) from None
             return None
 
     # -- per-pass progress ----------------------------------------------------

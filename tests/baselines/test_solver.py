@@ -83,10 +83,14 @@ class TestSolverCompilers:
         )
 
     def test_solver_slower_than_iterp_at_scale(self):
+        # Min of interleaved repeats: one wall-clock sample of the ~5 ms
+        # IterP compile can absorb a scheduler stall on a loaded host.
         c = qaoa_regular(14, 3, seed=1)
-        solver = tan_solver_compile(c)
-        iterp = tan_iterp_compile(c)
-        assert solver.compile_seconds > iterp.compile_seconds
+        solver_s, iterp_s = [], []
+        for _ in range(5):
+            solver_s.append(tan_solver_compile(c).compile_seconds)
+            iterp_s.append(tan_iterp_compile(c).compile_seconds)
+        assert min(solver_s) > min(iterp_s)
 
     def test_architecture_single_aod(self):
         arch = solver_architecture()

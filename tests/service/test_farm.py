@@ -8,17 +8,20 @@ lease paths.  The subprocess SIGKILL acceptance lives in
 """
 
 import asyncio
+import json
 from dataclasses import asdict
 
 import pytest
 
 from repro.baselines.registry import CompileOptions, atomique_result
+from repro.core import binformat
+from repro.core.serialize import program_to_dict
 from repro.experiments import compile_many, raa_for
 from repro.experiments.batch import CompileJob
 from repro.generators import qaoa_regular, qsim_random
 from repro.service import CompileService, JobQueue, ServiceError
 from repro.service.queue import JobState
-from repro.service.wire import decode_metrics, encode_job, encode_program
+from repro.service.wire import decode_metrics, encode_job
 
 
 def stable(m):
@@ -79,11 +82,11 @@ def freeze(service):
     return service
 
 
-def scrub_program(payload):
-    """An encoded program minus its wall-clock timing fields."""
+def scrub_program(program):
+    """A program's v2 document minus its wall-clock timing fields."""
     return {
         k: v
-        for k, v in payload.items()
+        for k, v in program_to_dict(program, columnar=True).items()
         if k not in ("compile_seconds", "emit_seconds")
     }
 
@@ -329,10 +332,10 @@ class TestProgramCapture:
             await service.aclose()
             return metrics, program
 
-        metrics, program = asyncio.run(scenario())
+        metrics, record = asyncio.run(scenario())
         direct = atomique_result(circuit, options)
-        assert scrub_program(program) == scrub_program(
-            encode_program(direct.program)
+        assert scrub_program(binformat.decode_program(record)) == (
+            scrub_program(direct.program)
         )
         assert stable(metrics) == stable(
             compile_many([job], workers=1)[0]
@@ -344,6 +347,36 @@ class TestProgramCapture:
             job = CompileJob("Superconducting", qaoa_regular(6, 3, seed=1))
             with pytest.raises(ServiceError, match="Atomique"):
                 await service.submit(encode_job(job), keep_program=True)
+
+        asyncio.run(scenario())
+
+    def test_legacy_v2_program_spool_is_refused(self, tmp_path):
+        """A spool holding only a retired v2 ``programs/<id>.json``
+        document gets a versioned refusal, not a fallback reader."""
+        circuit = qaoa_regular(6, 3, seed=3)
+        job = CompileJob(
+            "Atomique", circuit, CompileOptions(raa=raa_for(circuit))
+        )
+        spool = tmp_path / "spool"
+
+        async def scenario():
+            service = CompileService(spool_dir=spool, inline=True, shards=1)
+            await service.start()
+            job_id = await service.submit(encode_job(job), keep_program=True)
+            await service.result(job_id, wait=True, timeout=60.0)
+            record = spool / "programs" / f"{job_id}.bin"
+            legacy = program_to_dict(
+                binformat.decode_program(record.read_bytes()), columnar=True
+            )
+            record.unlink()
+            record.with_suffix(".json").write_text(json.dumps(legacy))
+            try:
+                with pytest.raises(
+                    ServiceError, match="retired v2 JSON spool format"
+                ):
+                    service.program(job_id)
+            finally:
+                await service.aclose()
 
         asyncio.run(scenario())
 

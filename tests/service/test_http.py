@@ -17,6 +17,7 @@ import urllib.request
 import pytest
 
 from repro.baselines.registry import CompileOptions
+from repro.core.serialize import program_to_dict
 from repro.experiments import compile_on, raa_for
 from repro.experiments.batch import CompileJob
 from repro.generators import qaoa_regular
@@ -234,8 +235,10 @@ class TestRestRoundTrip:
         assert status == 200
         socket_program = ServiceClient(
             socket_path=daemon.socket_path
-        ).request({"op": "program", "id": job_id})["program"]
-        assert body["program"] == socket_program
+        ).program(job_id)
+        assert body["program"] == program_to_dict(
+            socket_program, columnar=True
+        )
 
         # A finished job can no longer be cancelled.
         status, body = http(

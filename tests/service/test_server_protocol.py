@@ -1,6 +1,6 @@
-"""JSON-lines socket protocol of :class:`ServiceServer`, exercised
-in-process over a Unix socket (the subprocess daemon is covered by the
-``service_smoke`` end-to-end test)."""
+"""Frame protocol of :class:`ServiceServer`, exercised in-process over a
+Unix socket (the subprocess daemon is covered by the ``service_smoke``
+end-to-end test)."""
 
 import asyncio
 import json
@@ -10,19 +10,32 @@ from repro.experiments import compile_on, raa_for
 from repro.experiments.batch import CompileJob
 from repro.generators import qaoa_regular
 from repro.service import CompileService, ServiceServer
-from repro.service.wire import decode_metrics, encode_job
+from repro.service.wire import (
+    FRAME_HEADER_LEN,
+    decode_frame,
+    decode_metrics,
+    encode_frame,
+    encode_job,
+    parse_frame_header,
+)
+
+
+async def read_frame(reader):
+    """One response frame, decoded."""
+    header = await reader.readexactly(FRAME_HEADER_LEN)
+    _flags, length = parse_frame_header(header)
+    return decode_frame(header + await reader.readexactly(length))
 
 
 async def roundtrip(path, requests):
-    """Open one connection, send each request line, collect responses."""
+    """Open one connection, send each request frame, collect responses."""
     reader, writer = await asyncio.open_unix_connection(path)
     responses = []
     try:
         for request in requests:
-            writer.write(json.dumps(request).encode() + b"\n")
+            writer.write(encode_frame(request))
             await writer.drain()
-            line = await reader.readline()
-            responses.append(json.loads(line))
+            responses.append(await read_frame(reader))
     finally:
         writer.close()
     return responses
@@ -98,17 +111,60 @@ class TestProtocol:
         assert bad_submit["ok"] is False
         assert ping["ok"] is True
 
-    def test_malformed_line_gets_error_response(self, tmp_path):
+    def test_bad_frame_header_gets_error_frame_then_close(self, tmp_path):
+        # A header the server cannot parse (here: frame version 9, or a
+        # JSON line from a client that does not speak frames) leaves the
+        # stream unsynchronised: the server answers with one error frame,
+        # then closes instead of dropping the connection silently.
+        bad_version = bytearray(encode_frame({"op": "ping"}))
+        bad_version[2] = 9
+
+        async def send_raw(path, data):
+            reader, writer = await asyncio.open_unix_connection(path)
+            try:
+                writer.write(data)
+                await writer.drain()
+                response = await read_frame(reader)
+                trailing = await reader.read()  # EOF: the server closed
+            finally:
+                writer.close()
+            return response, trailing
+
+        json_line = json.dumps({"op": "ping"}).encode() + b"\n"
+
+        async def body(path):
+            return [
+                await send_raw(path, bytes(bad_version)),
+                await send_raw(path, json_line),
+            ]
+
+        (version, after_version), (line, after_line) = serve_scenario(
+            tmp_path, body
+        )
+        assert version["ok"] is False and "version 9" in version["error"]
+        assert line["ok"] is False and "bad frame header" in line["error"]
+        assert after_version == after_line == b""
+
+    def test_undecodable_frame_body_keeps_the_connection(self, tmp_path):
+        # A well-framed but undecodable body is answered in place; the
+        # stream is still in sync, so the next request on it works.
+        body_bytes = b"not json"
+        garbage = bytes(encode_frame({})[:4]) + len(body_bytes).to_bytes(
+            4, "big"
+        ) + body_bytes
+
         async def body(path):
             reader, writer = await asyncio.open_unix_connection(path)
-            writer.write(b"this is not json\n")
-            await writer.drain()
-            line = await reader.readline()
-            writer.close()
-            return json.loads(line)
+            try:
+                writer.write(garbage + encode_frame({"op": "ping"}))
+                await writer.drain()
+                return [await read_frame(reader), await read_frame(reader)]
+            finally:
+                writer.close()
 
-        response = serve_scenario(tmp_path, body)
-        assert response["ok"] is False and "bad request" in response["error"]
+        bad, ping = serve_scenario(tmp_path, body)
+        assert bad["ok"] is False and "bad frame payload" in bad["error"]
+        assert ping["ok"] is True
 
     def test_drain_op_stops_the_server(self, tmp_path):
         async def scenario():

@@ -1,13 +1,14 @@
-"""Gzip line framing and the columnar program codec on the service wire."""
+"""Length-prefixed frames — the only framing of the daemon socket — and
+binary-doc frames carrying v3 program records."""
 
 import json
 
 import pytest
 
 from repro.core import AtomiqueCompiler, AtomiqueConfig
-from repro.core.program import ProgramStore
 from repro.generators import qaoa_random, qsim_random
 from repro.hardware import RAAArchitecture
+from repro.service import wire
 from repro.service.wire import (
     FRAME_FLAG_BINARY_DOC,
     FRAME_FLAG_DEFLATE,
@@ -15,122 +16,12 @@ from repro.service.wire import (
     FRAME_MAGIC,
     FRAME_VERSION,
     WIRE_COMPRESS_THRESHOLD,
-    WIRE_GZIP_ENCODING,
     BinaryDoc,
     WireError,
     decode_frame,
-    decode_line,
-    decode_program,
     encode_bindoc_frame,
     encode_frame,
-    encode_line,
-    encode_program,
 )
-
-
-class TestLineFraming:
-    def test_small_lines_stay_plain_json(self):
-        line = encode_line({"op": "ping"}, compress=True)
-        assert line.endswith(b"\n")
-        assert json.loads(line) == {"op": "ping"}
-
-    def test_large_lines_compress_when_negotiated(self):
-        payload = {"op": "submit", "blob": "x" * (WIRE_COMPRESS_THRESHOLD + 1)}
-        line = encode_line(payload, compress=True)
-        envelope = json.loads(line)
-        assert envelope["enc"] == WIRE_GZIP_ENCODING
-        assert len(line) < WIRE_COMPRESS_THRESHOLD  # "x"*N compresses well
-        decoded, was_compressed = decode_line(line)
-        assert was_compressed
-        assert decoded == payload
-
-    def test_large_lines_stay_plain_without_negotiation(self):
-        payload = {"op": "submit", "blob": "x" * (WIRE_COMPRESS_THRESHOLD + 1)}
-        line = encode_line(payload, compress=False)
-        decoded, was_compressed = decode_line(line)
-        assert not was_compressed
-        assert decoded == payload
-
-    def test_roundtrip_is_lossless_for_floats(self):
-        payload = {"op": "x", "vals": [0.1, 1e-300, 2.0 / 3.0]}
-        big = {**payload, "pad": "y" * (WIRE_COMPRESS_THRESHOLD + 1)}
-        decoded, _ = decode_line(encode_line(big, compress=True))
-        assert decoded["vals"] == payload["vals"]
-
-    def test_unknown_encoding_rejected(self):
-        line = json.dumps({"enc": "zstd", "data": "xx"}).encode() + b"\n"
-        with pytest.raises(WireError, match="unknown transfer encoding"):
-            decode_line(line)
-
-    def test_corrupt_envelope_rejected(self):
-        line = (
-            json.dumps({"enc": WIRE_GZIP_ENCODING, "data": "!!!notb64"}).encode()
-            + b"\n"
-        )
-        with pytest.raises(WireError, match="envelope"):
-            decode_line(line)
-
-    def test_bad_json_rejected(self):
-        with pytest.raises(WireError, match="bad request"):
-            decode_line(b"{nope\n")
-
-    def test_non_object_rejected(self):
-        with pytest.raises(WireError, match="must be an object"):
-            decode_line(b"[1, 2]\n")
-
-
-class TestProgramCodec:
-    @pytest.fixture(scope="class")
-    def store(self):
-        circuit = qsim_random(10, seed=10)
-        arch = RAAArchitecture.default(side=4)
-        return AtomiqueCompiler(arch, AtomiqueConfig(seed=7)).compile(
-            circuit
-        ).program
-
-    def test_program_roundtrip_bit_exact(self, store):
-        payload = encode_program(store)
-        # through real JSON text, as the socket would carry it
-        restored = decode_program(json.loads(json.dumps(payload)))
-        assert isinstance(restored, ProgramStore)
-        assert restored.gate_n_vib == store.gate_n_vib
-        assert restored.atom_loss_log == store.atom_loss_log
-        assert restored.gate_pairs() == store.gate_pairs()
-        assert restored.off_gate == store.off_gate
-        assert restored.move_start == store.move_start
-
-    def test_columnar_wire_form_is_smaller(self, store):
-        from repro.core.serialize import program_to_dict
-
-        columnar = len(json.dumps(encode_program(store)))
-        object_form = len(json.dumps(program_to_dict(store, columnar=False)))
-        assert columnar < object_form
-
-    def test_bad_program_payload_rejected(self):
-        with pytest.raises(WireError, match="bad program payload"):
-            decode_program({"format_version": 99})
-
-
-class TestLineFramingEdges:
-    def test_line_at_exactly_the_threshold_stays_plain(self):
-        # The compression rule is strictly greater-than: a line whose
-        # body is exactly WIRE_COMPRESS_THRESHOLD bytes stays plain JSON.
-        base = len(encode_line({"op": "x", "pad": ""}, compress=True)) - 1
-        pad = "a" * (WIRE_COMPRESS_THRESHOLD - base)
-        line = encode_line({"op": "x", "pad": pad}, compress=True)
-        assert len(line) - 1 == WIRE_COMPRESS_THRESHOLD
-        assert json.loads(line)["op"] == "x"  # no envelope
-        line2 = encode_line({"op": "x", "pad": pad + "a"}, compress=True)
-        assert json.loads(line2).keys() == {"enc", "data"}  # one byte over
-
-    def test_nested_enc_data_keys_are_not_an_envelope(self):
-        # Only the *top-level* two-key {"enc", "data"} shape is an
-        # envelope; the same shape nested one level down must survive
-        # the round trip untouched.
-        payload = {"op": "x", "inner": {"enc": WIRE_GZIP_ENCODING, "data": "zz"}}
-        decoded, was_compressed = decode_line(encode_line(payload))
-        assert not was_compressed
-        assert decoded == payload
 
 
 class TestBinaryFrames:
@@ -149,8 +40,8 @@ class TestBinaryFrames:
         assert decode_frame(data) == payload
 
     def test_frame_magic_cannot_begin_a_json_line(self):
-        # First-byte dispatch relies on this: 0xAB is not valid UTF-8
-        # ASCII and can never start a JSON document.
+        # 0xAB is not ASCII and can never start a JSON document, so a peer
+        # that writes a JSON line fails the header check on its first byte.
         assert FRAME_MAGIC[0] > 0x7F
 
     def test_truncated_header_rejected(self):
@@ -200,6 +91,19 @@ class TestBinaryFrames:
         header = FRAME_MAGIC + bytes((1, 0)) + len(body).to_bytes(4, "big")
         with pytest.raises(WireError, match="object"):
             decode_frame(header + body)
+
+    def test_over_inflating_frame_rejected(self, monkeypatch):
+        # The length prefix bounds only the deflated bytes; the inflated
+        # body must stay within MAX_FRAME_BYTES too (lowered here so the
+        # test inflates a few MiB, not 256).
+        monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 2**20)
+        at_limit = {"op": "x", "pad": "0" * (2**20 - 22)}
+        assert len(json.dumps(at_limit)) == 2**20
+        assert decode_frame(encode_frame(at_limit)) == at_limit
+        bomb = encode_frame({"op": "x", "pad": "0" * 2**21})
+        assert len(bomb) < 2**20 // 100  # zeros deflate ~1000x
+        with pytest.raises(WireError, match="inflated frame payload exceeds"):
+            decode_frame(bomb)
 
 
 class TestBindocFrames:
@@ -276,73 +180,25 @@ class TestBindocFrames:
             BinaryDoc(b"\x00garbage").to_store()
 
 
-class TestOldServerCompat:
-    """A pre-gzip daemon (plain ``json.loads``, no envelope unwrapping,
-    no ping capability advert) must keep working with the new client,
-    including for requests past the compression threshold."""
-
-    def test_large_request_to_old_server_stays_plain(self, tmp_path):
-        import asyncio
-        import json as _json
-
-        from repro.service.client import ServiceClient
-
-        seen_lines = []
-
-        async def run():
-            async def handle(reader, writer):
-                while True:
-                    line = await reader.readline()
-                    if not line:
-                        break
-                    seen_lines.append(line)
-                    request = _json.loads(line)  # old server: plain JSON only
-                    op = request["op"]
-                    response = {"ok": True, "op": op}
-                    if op == "echo":
-                        response["size"] = len(request["blob"])
-                    writer.write(_json.dumps(response).encode() + b"\n")
-                    await writer.drain()
-                writer.close()
-
-            server = await asyncio.start_unix_server(
-                handle, path=str(tmp_path / "old.sock"), limit=2**20
-            )
-            client = ServiceClient(socket_path=tmp_path / "old.sock")
-            loop = asyncio.get_running_loop()
-            blob = "x" * (WIRE_COMPRESS_THRESHOLD + 1)
-            response = await loop.run_in_executor(
-                None, client.request, {"op": "echo", "blob": blob}
-            )
-            server.close()
-            await server.wait_closed()
-            return client, response
-
-        client, response = asyncio.run(run())
-        # the probe saw no advert, so the big request went out plain —
-        # and with no frame capability either, the client never sends a
-        # binary frame an old daemon could not parse
-        assert client._server_gzip is False
-        assert client._server_frame is False
-        assert response["size"] == WIRE_COMPRESS_THRESHOLD + 1
-        assert all(b'"enc": "gzip+b64", "data"' not in ln for ln in seen_lines)
-        assert all(not ln.startswith(FRAME_MAGIC[:1]) for ln in seen_lines)
 
 
-class TestFrameNegotiation:
-    """Cross-version matrix: frames flow only when both ends are new."""
+class TestFramedSocket:
+    """Client and daemon over a real Unix socket, frames both ways."""
 
-    def _serve(self, tmp_path, body):
+    @staticmethod
+    def _serve(tmp_path, body, **service_kwargs):
         import asyncio
 
         from repro.service.client import ServiceClient
         from repro.service.server import CompileService, ServiceServer
 
         async def run():
-            service = CompileService(inline=True, shards=1)
+            service = CompileService(inline=True, shards=1, **service_kwargs)
             server = ServiceServer(service, socket_path=tmp_path / "sock")
             await server.start()
-            client = ServiceClient(socket_path=tmp_path / "sock")
+            client = ServiceClient(
+                socket_path=tmp_path / "sock", timeout=120.0
+            )
             loop = asyncio.get_running_loop()
             try:
                 return await loop.run_in_executor(None, body, client)
@@ -350,58 +206,6 @@ class TestFrameNegotiation:
                 await server.aclose()
 
         return asyncio.run(run())
-
-    def test_new_client_upgrades_to_frames_after_ping(self, tmp_path):
-        def body(client):
-            assert client._server_frame is None  # unknown before any ping
-            client.ping()
-            assert client._server_frame is True
-            # subsequent requests are encoded as binary frames...
-            data = client._encode_request({"op": "backends"})
-            assert data.startswith(FRAME_MAGIC)
-            # ...and the framed round trip works against the live server
-            return client.backends()
-
-        backends = self._serve(tmp_path, body)
-        assert "Atomique" in backends
-
-    def test_unpinged_client_speaks_plain_json_lines(self, tmp_path):
-        def body(client):
-            # No ping yet: the first (small) request must be a plain JSON
-            # line, byte-compatible with an old client.
-            data = client._encode_request({"op": "backends", "enc": "x"})
-            assert data.endswith(b"\n") and not data.startswith(FRAME_MAGIC)
-            return client.backends()
-
-        backends = self._serve(tmp_path, body)
-        assert "Atomique" in backends
-
-    def test_old_json_client_against_new_server(self, tmp_path):
-        # A legacy client that only ever writes JSON lines must get JSON
-        # lines back, even though the server also speaks frames.
-        import asyncio
-        import json as _json
-
-        from repro.service.server import CompileService, ServiceServer
-
-        async def run():
-            service = CompileService(inline=True, shards=1)
-            server = ServiceServer(service, socket_path=tmp_path / "sock")
-            await server.start()
-            reader, writer = await asyncio.open_unix_connection(
-                str(tmp_path / "sock")
-            )
-            writer.write(b'{"op": "ping"}\n')
-            await writer.drain()
-            raw = await reader.readline()
-            writer.close()
-            await server.aclose()
-            return raw
-
-        raw = asyncio.run(run())
-        assert raw.endswith(b"\n") and not raw.startswith(FRAME_MAGIC)
-        response = _json.loads(raw)
-        assert response["ok"] is True and response["frame"] == 1
 
     def test_truncated_frame_from_server_raises_not_hangs(self, tmp_path):
         # A server that dies mid-frame must produce a clean error: the
@@ -412,8 +216,8 @@ class TestFrameNegotiation:
 
         async def run():
             async def handle(reader, writer):
-                await reader.readline()
-                data = encode_frame({"ok": True, "op": "ping", "frame": 1})
+                await reader.readexactly(FRAME_HEADER_LEN)
+                data = encode_frame({"ok": True, "op": "ping"})
                 writer.write(data[:-3])  # drop the tail, then hang up
                 await writer.drain()
                 writer.close()
@@ -437,134 +241,34 @@ class TestFrameNegotiation:
         message = asyncio.run(run())
         assert message is not None and "truncated" in message
 
+    def test_large_submission_round_trips(self, tmp_path):
+        """A submission whose deflated frame is well past 64 KiB (asyncio's
+        default stream limit, and past twice it, where the reader pauses)
+        compiles to the same result as a direct compile."""
+        import random
+        import string
 
-class TestBindocNegotiation:
-    """Cross-version matrix for the binary-doc bit: packed v3 records flow
-    only when both ends advertise them; unupgraded peers keep exchanging
-    the same JSON documents byte for byte."""
-
-    def _serve(self, tmp_path, body):
-        import asyncio
-
-        from repro.service.client import ServiceClient
-        from repro.service.server import CompileService, ServiceServer
-
-        async def run():
-            service = CompileService(
-                inline=True, shards=1, spool_dir=tmp_path / "spool"
-            )
-            server = ServiceServer(service, socket_path=tmp_path / "sock")
-            await server.start()
-            client = ServiceClient(
-                socket_path=tmp_path / "sock", timeout=120.0
-            )
-            loop = asyncio.get_running_loop()
-            try:
-                return await loop.run_in_executor(None, body, client)
-            finally:
-                await server.aclose()
-
-        return asyncio.run(run())
-
-    @staticmethod
-    def _job():
-        from repro.baselines.registry import CompileOptions
-        from repro.circuits.random_circuits import random_circuit
-        from repro.experiments import raa_for
-        from repro.experiments.batch import CompileJob
-
-        circuit = random_circuit(12, 10, 3, seed=3)
-        return CompileJob(
-            "Atomique", circuit, CompileOptions(raa=raa_for(circuit))
-        )
-
-    def test_ping_advertises_bindoc(self, tmp_path):
-        def body(client):
-            assert client._server_bindoc is None  # unknown before any ping
-            client.ping()
-            return client._server_bindoc
-
-        assert self._serve(tmp_path, body) is True
-
-    def test_new_pair_ships_binary_docs_bit_identically(self, tmp_path):
-        from repro.core.serialize import dumps
-
-        def body(client):
-            job_id = client.submit(self._job(), keep_program=True)
-            whole = client.program(job_id)  # rides a bindoc frame
-            metrics, streamed = client.result_stream(
-                job_id, chunk_stages=8
-            )
-            stats = client.last_stream_stats
-            # every chunk arrived packed, none as JSON fallback
-            assert stats["binary_chunks"] > 0 and stats["json_chunks"] == 0
-            return dumps(whole), dumps(streamed)
-
-        whole, streamed = self._serve(tmp_path, body)
-        assert whole == streamed
-
-    def test_old_client_against_new_server_keeps_json(self, tmp_path):
-        from repro.core.serialize import dumps
-
-        def body(client):
-            job_id = client.submit(self._job(), keep_program=True)
-            upgraded = dumps(client.program(job_id))
-            # an unupgraded peer: no frames, no bindoc, no gzip — the
-            # server must serve the classic JSON documents
-            client._server_frame = False
-            client._server_bindoc = False
-            client._server_gzip = False
-            legacy = dumps(client.program(job_id))
-            metrics, streamed = client.result_stream(
-                job_id, chunk_stages=8
-            )
-            stats = client.last_stream_stats
-            assert stats["binary_chunks"] == 0 and stats["json_chunks"] > 0
-            return upgraded, legacy, dumps(streamed)
-
-        upgraded, legacy, streamed = self._serve(tmp_path, body)
-        # both wire shapes reassemble to the identical serialized program
-        assert upgraded == legacy == streamed
-
-
-class TestClientServerCompression(object):
-    """End-to-end: a large circuit submission crosses the socket compressed
-    and compiles to the same result as a plain submission."""
-
-    def test_inline_service_accepts_compressed_submission(self, tmp_path):
-        import asyncio
-
-        from repro.experiments.batch import CompileJob
-        from repro.service.server import CompileService, ServiceServer
-        from repro.service.client import ServiceClient
-
-        # a small circuit keeps the runtime down; pad the name so the
-        # encoded job crosses the 64 KiB threshold and actually compresses.
-        circuit = qaoa_random(12, seed=5)
-        circuit.name = "q" * (WIRE_COMPRESS_THRESHOLD + 1)
-        job = CompileJob("Superconducting", circuit)
-
-        async def run():
-            service = CompileService(spool_dir=tmp_path / "spool", inline=True)
-            server = ServiceServer(service, socket_path=tmp_path / "sock")
-            await server.start()
-            client = ServiceClient(socket_path=tmp_path / "sock")
-            loop = asyncio.get_running_loop()
-            job_id = await loop.run_in_executor(None, client.submit, job)
-            # the large submit triggered the one-time capability probe,
-            # which must have recorded the daemon's gzip advert
-            assert client._server_gzip is True
-            metrics = await loop.run_in_executor(
-                None, lambda: client.result(job_id, wait=True)
-            )
-            await server.aclose()
-            return metrics
-
-        metrics = asyncio.run(run())
         from repro.baselines.registry import CompileOptions, get_backend
+        from repro.experiments.batch import CompileJob
+        from repro.service.wire import encode_job
 
+        circuit = qaoa_random(12, seed=5)
+        # random letters barely deflate, so the frame stays large on the wire
+        circuit.name = "".join(
+            random.Random(5).choices(string.ascii_letters, k=300_000)
+        )
+        job = CompileJob("Superconducting", circuit)
+        request = {"op": "submit", "job": encode_job(job)}
+        assert len(encode_frame(request)) > 2 * 64 * 1024
+
+        def body(client):
+            job_id = client.submit(job)
+            return client.result(job_id, wait=True)
+
+        metrics = self._serve(tmp_path, body, spool_dir=tmp_path / "spool")
         direct = get_backend("Superconducting").compile(
             circuit, CompileOptions()
         )
+        assert metrics.benchmark == circuit.name
         assert metrics.num_2q_gates == direct.num_2q_gates
         assert metrics.fidelity == direct.fidelity
