@@ -13,10 +13,14 @@ follows each cost layer, and an initial Hadamard layer prepares ``|+>^n``.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from ..circuits.circuit import QuantumCircuit
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def _qaoa_from_edges(
@@ -75,6 +79,10 @@ def qaoa_regular(
         )
     if degree >= num_qubits:
         raise ValueError("degree must be < num_qubits")
+    # networkx loads here, not at import: compile workers never generate
+    # circuits and should not pay for it at boot
+    import networkx as nx
+
     graph = nx.random_regular_graph(degree, num_qubits, seed=seed)
     edges = [(min(a, b), max(a, b)) for a, b in graph.edges()]
     return _qaoa_from_edges(
@@ -88,6 +96,8 @@ def qaoa_regular(
 
 def qaoa_interaction_graph(circuit: QuantumCircuit) -> nx.Graph:
     """Recover the ZZ interaction graph from a QAOA circuit (for analysis)."""
+    import networkx as nx
+
     g = nx.Graph()
     g.add_nodes_from(range(circuit.num_qubits))
     for gate in circuit.gates:

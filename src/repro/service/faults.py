@@ -25,6 +25,9 @@ site                    effect when a rule fires
                         the dispatcher sees ``BrokenProcessPool``
 ``job.slow``            the job sleeps ``seconds`` before compiling
                         (drives the per-job timeout path)
+``worker.boot``         a fresh shard worker sleeps ``seconds`` before it
+                        takes its first job (a slow interpreter boot, which
+                        no job's timeout may count)
 ``socket.drop``         the server closes the connection after processing
                         a request, before the response line is written
 ``frame.corrupt``       the last byte of an outbound binary frame is

@@ -23,7 +23,8 @@ Fault tolerance (see docs/ARCHITECTURE.md "Failure model"):
   as FAILED once its attempts reach ``max_retries``.
 - Per-job **timeouts** (pool mode) kill the stuck worker, rebuild the
   shard, and charge the attempt; per-job ``max_retries`` bounds every
-  retry path.
+  retry path.  The clock starts when the worker starts the job: worker
+  boot and the wait for a slot another job holds are not counted.
 - Infrastructure failures retry; deterministic compile errors (the job
   itself raising) fail immediately — retrying a deterministic failure
   can only waste attempts.
@@ -68,7 +69,7 @@ import multiprocessing
 import os
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
@@ -181,6 +182,19 @@ def _progress_file_sink(progress_path: str, attempt: int):
             fh.write(json.dumps(event) + "\n")
 
     return sink
+
+
+def _worker_ready() -> None:
+    """A fresh worker's first task: it completes once the interpreter has
+    booted, run the pool initializer and imported this module — all
+    work that no job's deadline may count."""
+    faults.maybe_sleep("worker.boot")
+
+
+def _ignore_outcome(future: asyncio.Future[Any]) -> None:
+    """Mark a future's exception retrieved: only its completion matters."""
+    if not future.cancelled():
+        future.exception()
 
 
 def _execute_wire_job(
@@ -302,6 +316,9 @@ class CompileService:
             ResultCache(result_cache_dir) if result_cache_dir is not None else None
         )
         self._pools: list[ProcessPoolExecutor] = []
+        #: per slot, the last task handed to its pool (the boot no-op of a
+        #: fresh pool, then each attempt): the worker is free once it is done
+        self._busy: list[Future[Any]] = []
         #: inline mode: one long-lived prefix cache per worker slot,
         #: mirroring what the pool initializer builds inside each worker
         self.shard_caches: list[PipelineCache] = []
@@ -328,7 +345,8 @@ class CompileService:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def _make_pool(self) -> ProcessPoolExecutor:
+    def _make_pool(self) -> tuple[ProcessPoolExecutor, Future[Any]]:
+        """A one-worker pool and its boot task (see :meth:`_slot_idle`)."""
         fault_spec = (
             self.fault_plan.to_spec() if self.fault_plan is not None else None
         )
@@ -336,12 +354,13 @@ class CompileService:
         # socket, so after a daemon hard-kill the orphaned worker keeps the
         # old listener alive and silently black-holes client connects meant
         # for the replacement daemon.
-        return ProcessPoolExecutor(
+        pool = ProcessPoolExecutor(
             max_workers=1,
             mp_context=multiprocessing.get_context("spawn"),
             initializer=batch.init_worker_prefix_cache,
             initargs=(self._prefix_cache_dir, fault_spec),
         )
+        return pool, pool.submit(_worker_ready)
 
     async def start(self) -> None:
         """Spin up worker slots/dispatchers and re-dispatch spooled jobs."""
@@ -359,7 +378,10 @@ class CompileService:
                 for _ in range(self.workers)
             ]
         else:
-            self._pools = [self._make_pool() for _ in range(self.workers)]
+            for _ in range(self.workers):
+                pool, boot = self._make_pool()
+                self._pools.append(pool)
+                self._busy.append(boot)
         if self.farm:
             # Claim our fair share of shards before the first dispatch so
             # the boot backlog does not sit through a whole tick.
@@ -455,6 +477,7 @@ class CompileService:
                 except Exception:
                     pass
         self._pools = []
+        self._busy = []
 
     # -- job APIs ------------------------------------------------------------
 
@@ -1044,7 +1067,7 @@ class CompileService:
                 proc.kill()
             except Exception:
                 pass
-        self._pools[slot] = self._make_pool()
+        self._pools[slot], self._busy[slot] = self._make_pool()
         log.warning("shard %d: worker pool rebuilt (kill=%s)", slot, kill)
 
     async def _execute(self, record: Any, shard: int) -> dict[str, Any]:
@@ -1080,17 +1103,47 @@ class CompileService:
                 return self._execute_inline(record.payload, slot)
             finally:
                 set_pass_progress_sink(previous)
-        loop = asyncio.get_running_loop()
-        future = loop.run_in_executor(
-            self._pools[slot],
-            _execute_wire_job,
-            record.payload,
-            record.attempts,
-            record.keep_program,
-            str(progress_path) if progress_path is not None else None,
+        attempt = asyncio.ensure_future(
+            self._attempt(record, slot, progress_path)
         )
-        self._inflight[record.job_id] = future
+        # cancel() stops the attempt wherever it is: waiting for the slot
+        # or waiting on the worker.
+        self._inflight[record.job_id] = attempt
         try:
+            return await attempt
+        finally:
+            self._inflight.pop(record.job_id, None)
+
+    async def _slot_idle(self, slot: int) -> None:
+        """Wait until *slot*'s worker can start a task at once.
+
+        That is after a fresh pool's boot task, and after whatever the
+        slot ran last: another shard's job when shards share the slot, or
+        a cancelled attempt the worker is still computing.  None of that
+        is the next job's work, so its deadline starts only after."""
+        while not (busy := self._busy[slot]).done():
+            waiter = asyncio.wrap_future(busy)
+            waiter.add_done_callback(_ignore_outcome)
+            await asyncio.wait([waiter])
+
+    async def _attempt(
+        self, record: Any, slot: int, progress_path: Path | None
+    ) -> dict[str, Any]:
+        """One pool attempt: wait for the slot off the clock, then run the
+        job under its timeout."""
+        try:
+            await self._slot_idle(slot)
+            # No await between the idle check and the submit, so the job
+            # starts in the worker now and the deadline times its compile.
+            task = self._pools[slot].submit(
+                _execute_wire_job,
+                record.payload,
+                record.attempts,
+                record.keep_program,
+                str(progress_path) if progress_path is not None else None,
+            )
+            self._busy[slot] = task
+            future = asyncio.wrap_future(task)
             if record.timeout is not None:
                 return await asyncio.wait_for(future, record.timeout)
             return await future
@@ -1106,8 +1159,6 @@ class CompileService:
                 f"attempt {record.attempts} crashed its worker "
                 f"(BrokenProcessPool; shard {slot} pool rebuilt)"
             ) from None
-        finally:
-            self._inflight.pop(record.job_id, None)
 
     async def _run_one(self, job_id: str, shard: int) -> None:
         record = self.queue.get(job_id)

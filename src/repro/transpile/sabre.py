@@ -90,6 +90,21 @@ def _extended_set(dag: DAGCircuit, front: set[int], limit: int) -> list[int]:
     return out
 
 
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` for a 1-D int array: sort, drop adjacent repeats.
+
+    Same output, under half the cost at SABRE's sizes, and it does not
+    load ``numpy.ma`` (numpy 2.x's ``np.unique`` imports it on first use,
+    which would land inside a cold worker's first compile)."""
+    s = np.sort(values)
+    if len(s) < 2:
+        return s
+    first = np.empty(len(s), dtype=bool)
+    first[0] = True
+    np.not_equal(s[1:], s[:-1], out=first[1:])
+    return s[first]
+
+
 class _IncrementalScorer:
     """Delta-scored swap candidates over numpy index arrays.
 
@@ -220,8 +235,10 @@ class _IncrementalScorer:
             int(dist[self._pea, self._peb].astype(np.int64).sum()) if self._E else 0
         )
 
-        act = np.unique(np.concatenate([self._pfa, self._pfb]))
-        codes = np.unique(np.concatenate([self._codes_for(int(p)) for p in act]))
+        act = _sorted_unique(np.concatenate([self._pfa, self._pfb]))
+        codes = _sorted_unique(
+            np.concatenate([self._codes_for(int(p)) for p in act])
+        )
         self._codes = codes
         self._cp1 = codes // n
         self._cp2 = codes % n
@@ -322,7 +339,9 @@ class _IncrementalScorer:
             newly = p1 if a2 else p2
             keep = self._active[self._cp1] | self._active[self._cp2]
             old_codes = self._codes[keep]
-            merged = np.union1d(old_codes, self._codes_for(newly))
+            merged = _sorted_unique(
+                np.concatenate([old_codes, self._codes_for(newly)])
+            )
             dfront = np.empty(len(merged), dtype=np.int64)
             dext = np.empty(len(merged), dtype=np.int64)
             pos = np.searchsorted(merged, old_codes)

@@ -38,6 +38,7 @@ from repro.service import (
     faults,
 )
 from repro.service.queue import JobQueue, JobState, QueueError
+from repro.service.server import _prefix_shard
 from repro.service.wire import encode_job
 
 from .test_service import stable
@@ -171,6 +172,59 @@ class TestTimeouts:
         status = asyncio.run(scenario())
         assert status["state"] == "failed"
         assert "timed out after 0.75s" in status["error"]
+
+    def test_timeout_excludes_worker_boot(self):
+        """A worker that takes longer to boot than the job's whole budget
+        must not time the job out: the clock starts when the worker
+        starts the job."""
+        plan = {"rules": [{"site": "worker.boot", "every": 1, "seconds": 1.5}]}
+
+        async def scenario():
+            service = CompileService(shards=1, fault_plan=plan)
+            job_id = await service.submit(
+                encode_job(fast_job("patient")), timeout=1.0
+            )
+            await service.result(job_id, wait=True, timeout=120)
+            status = service.status(job_id)
+            await service.aclose()
+            return status
+
+        status = asyncio.run(scenario())
+        assert status["state"] == "done"
+        assert status["attempts"] == 1
+
+    def test_timeout_excludes_queueing_behind_a_shared_slot(self):
+        """Two shards on one worker slot: a job must not be charged the
+        time it waits for the other shard's job to finish."""
+        plan = {
+            "rules": [
+                {"site": "job.slow", "every": 1, "match": "hog", "seconds": 1.5}
+            ]
+        }
+        hog = fast_job("hog")
+        seed = 2
+        while _prefix_shard(fast_job("punctual", seed), 2) == _prefix_shard(
+            hog, 2
+        ):
+            seed += 1
+        punctual = fast_job("punctual", seed)
+
+        async def scenario():
+            service = CompileService(shards=2, workers=1, fault_plan=plan)
+            hog_id = await service.submit(encode_job(hog))
+            await wait_state(service, hog_id, "running")
+            punctual_id = await service.submit(
+                encode_job(punctual), timeout=1.0
+            )
+            await service.result(punctual_id, wait=True, timeout=120)
+            await service.result(hog_id, wait=True, timeout=120)
+            statuses = [service.status(j) for j in (hog_id, punctual_id)]
+            await service.aclose()
+            return statuses
+
+        for status in asyncio.run(scenario()):
+            assert status["state"] == "done"
+            assert status["attempts"] == 1
 
 
 class TestCancelRunning:

@@ -24,6 +24,7 @@ from repro.transpile.sabre import (
     EXTENDED_SET_SIZE,
     EXTENDED_SET_WEIGHT,
     _IncrementalScorer,
+    _sorted_unique,
     _spread_layout,
     sabre_route as _sabre_route,
 )
@@ -307,3 +308,13 @@ def test_layout_search_without_output_matches_emitting(name):
     assert sabre_layout(circ, cm, num_iterations=iters, seed=seed).as_dict() == (
         _emitting_layout_search(circ, cm, iters, seed).as_dict()
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=2**40), max_size=40))
+def test_sorted_unique_matches_np_unique(values):
+    arr = np.array(values, dtype=np.int64)
+    got = _sorted_unique(arr)
+    want = np.unique(arr)
+    assert got.dtype == want.dtype
+    assert got.tolist() == want.tolist()
