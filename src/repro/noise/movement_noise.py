@@ -86,10 +86,7 @@ MAXLOG = 7.09782712893383996843e2
 
 
 def _polevl(x, coef):
-    """Cephes ``polevl``: ``coef[0] x^N + ... + coef[N]`` in Horner order.
-
-    Works on floats and float64 arrays alike (numpy's elementwise ``*``
-    and ``+`` round exactly like Python's, and are never fused)."""
+    """Cephes ``polevl``: ``coef[0] x^N + ... + coef[N]`` in Horner order."""
     ans = coef[0]
     for c in coef[1:]:
         ans = ans * x + c
@@ -123,40 +120,6 @@ def erf(x: float) -> float:
     else:
         y = (z * _polevl(x, _ERFC_R)) / _p1evl(x, _ERFC_S)
     return 1.0 - y
-
-
-def erf_array(x: np.ndarray) -> np.ndarray:
-    """:func:`erf` over a float64 array, elementwise bit-identical.
-
-    Each branch is one whole-array Horner pass; only ``exp(-x^2)`` goes
-    element by element through ``math.exp``, because numpy's SIMD ``exp``
-    is not guaranteed to round like libm's."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.full(x.shape, np.nan)
-    ax = np.abs(x)
-    small = ax <= 1.0  # false for nan, which stays nan
-    xs = x[small]
-    z = xs * xs
-    out[small] = xs * _polevl(z, _ERF_T) / _p1evl(z, _ERF_U)
-
-    big = ax > 1.0
-    a = ax[big]
-    with np.errstate(over="ignore"):  # -inf for huge |x|, as in Python
-        nz = -a * a
-    live = nz >= -MAXLOG  # below it erfc underflows to exactly 0
-    al = a[live]
-    e = np.array([math.exp(v) for v in nz[live].tolist()], dtype=np.float64)
-    mid = al < 8.0
-    far = ~mid
-    yl = np.empty(len(al))
-    am, af = al[mid], al[far]
-    yl[mid] = (e[mid] * _polevl(am, _ERFC_P)) / _p1evl(am, _ERFC_Q)
-    yl[far] = (e[far] * _polevl(af, _ERFC_R)) / _p1evl(af, _ERFC_S)
-    y = np.zeros(len(a))
-    y[live] = yl
-    r = 1.0 - y
-    out[big] = np.where(x[big] < 0.0, -r, r)
-    return out
 
 
 def heating_gate_factor(n_vib: float, params: HardwareParams) -> float:
@@ -220,22 +183,10 @@ def atom_loss_probability(n_vib: float, params: HardwareParams) -> float:
 def movement_loss_fidelity(
     move_n_vibs: Sequence[float], params: HardwareParams
 ) -> float:
-    """Probability no atom is lost across all (atom, move) events.
-
-    Bit-identical to multiplying ``1 - atom_loss_probability(nv)`` over
-    *move_n_vibs* in order: ``z`` and the loss are computed elementwise
-    in float64 (``np.sqrt`` is correctly rounded, :func:`erf_array`
-    matches :func:`erf`), and the product accumulates left to right.
-    """
-    nv = np.asarray(move_n_vibs, dtype=np.float64)
-    loss = np.zeros(len(nv))
-    hot = ~(nv <= 0.0)  # nan stays hot, as in the scalar form
-    n = nv[hot]
-    z = (params.n_vib_max - n) / np.sqrt(2.0 * n)
-    loss[hot] = 1.0 - 0.5 * (1.0 + erf_array(z))
+    """Probability no atom is lost across all (atom, move) events."""
     f = 1.0
-    for p in loss.tolist():
-        f *= 1.0 - p
+    for nv in move_n_vibs:
+        f *= 1.0 - atom_loss_probability(nv, params)
     return f
 
 

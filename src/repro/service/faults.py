@@ -27,7 +27,8 @@ site                    effect when a rule fires
                         (drives the per-job timeout path)
 ``worker.boot``         a fresh shard worker sleeps ``seconds`` before it
                         takes its first job (a slow interpreter boot, which
-                        no job's timeout may count)
+                        no job's timeout may count); the context is
+                        ``pool#<n>``, the daemon's n-th pool from 0
 ``socket.drop``         the server closes the connection after processing
                         a request, before the response line is written
 ``frame.corrupt``       the last byte of an outbound binary frame is

@@ -24,7 +24,9 @@ Fault tolerance (see docs/ARCHITECTURE.md "Failure model"):
 - Per-job **timeouts** (pool mode) kill the stuck worker, rebuild the
   shard, and charge the attempt; per-job ``max_retries`` bounds every
   retry path.  The clock starts when the worker starts the job: worker
-  boot and the wait for a slot another job holds are not counted.
+  boot (timed on its own clock) and the wait for a slot another job
+  holds are not counted.  Cancelling a RUNNING pool job kills its
+  worker, so a hung compile never keeps its slot.
 - Infrastructure failures retry; deterministic compile errors (the job
   itself raising) fail immediately — retrying a deterministic failure
   can only waste attempts.
@@ -184,11 +186,11 @@ def _progress_file_sink(progress_path: str, attempt: int):
     return sink
 
 
-def _worker_ready() -> None:
+def _worker_ready(context: str = "") -> None:
     """A fresh worker's first task: it completes once the interpreter has
     booted, run the pool initializer and imported this module — all
     work that no job's deadline may count."""
-    faults.maybe_sleep("worker.boot")
+    faults.maybe_sleep("worker.boot", context)
 
 
 def _ignore_outcome(future: asyncio.Future[Any]) -> None:
@@ -316,9 +318,12 @@ class CompileService:
             ResultCache(result_cache_dir) if result_cache_dir is not None else None
         )
         self._pools: list[ProcessPoolExecutor] = []
-        #: per slot, the last task handed to its pool (the boot no-op of a
-        #: fresh pool, then each attempt): the worker is free once it is done
-        self._busy: list[Future[Any]] = []
+        #: per slot, the last task handed to its pool and its kind: "boot"
+        #: (a fresh pool's boot no-op) or "job" (an attempt).  The worker
+        #: is free once the task is done.
+        self._busy: list[tuple[Future[Any], str]] = []
+        #: pools made so far; numbers each boot task's fault context
+        self._pools_made = 0
         #: inline mode: one long-lived prefix cache per worker slot,
         #: mirroring what the pool initializer builds inside each worker
         self.shard_caches: list[PipelineCache] = []
@@ -341,11 +346,12 @@ class CompileService:
         #: expire naturally instead of releasing them gracefully
         self.release_leases_on_close = True
         self._accepting = True
+        self._closing = False
         self._started = False
 
     # -- lifecycle -----------------------------------------------------------
 
-    def _make_pool(self) -> tuple[ProcessPoolExecutor, Future[Any]]:
+    def _make_pool(self) -> tuple[ProcessPoolExecutor, tuple[Future[Any], str]]:
         """A one-worker pool and its boot task (see :meth:`_slot_idle`)."""
         fault_spec = (
             self.fault_plan.to_spec() if self.fault_plan is not None else None
@@ -360,7 +366,9 @@ class CompileService:
             initializer=batch.init_worker_prefix_cache,
             initargs=(self._prefix_cache_dir, fault_spec),
         )
-        return pool, pool.submit(_worker_ready)
+        boot = pool.submit(_worker_ready, f"pool#{self._pools_made}")
+        self._pools_made += 1
+        return pool, (boot, "boot")
 
     async def start(self) -> None:
         """Spin up worker slots/dispatchers and re-dispatch spooled jobs."""
@@ -440,6 +448,7 @@ class CompileService:
     async def aclose(self) -> None:
         """Tear down dispatchers and worker pools (no waiting for jobs)."""
         self._accepting = False
+        self._closing = True
         tasks = list(self._dispatchers)
         if self._reaper is not None:
             tasks.append(self._reaper)
@@ -466,8 +475,8 @@ class CompileService:
                 self._board.release(shard)
             self._owned.clear()
         for pool in self._pools:
-            # Kill workers still computing (e.g. a cancelled job's
-            # attempt): their results are discarded anyway, and a live
+            # Kill workers still computing (the attempts this close
+            # cancelled): their results are discarded anyway, and a live
             # worker would block interpreter exit until it finishes.
             victims = list((getattr(pool, "_processes", None) or {}).values())
             pool.shutdown(wait=False, cancel_futures=True)
@@ -620,10 +629,11 @@ class CompileService:
     def cancel(self, job_id: str) -> bool:
         """Cancel a PENDING or RUNNING job.
 
-        A RUNNING job's lease is revoked and its in-flight future is
-        cancelled best-effort — a worker-process compile cannot be
-        interrupted mid-flight, so the attempt may run to completion, but
-        its result is discarded and the job stays CANCELLED.
+        A RUNNING job's lease is revoked and its attempt cancelled.  In
+        pool mode a compile already in the worker is stopped by killing
+        that worker (the slot is rebuilt), so a hung job cannot keep its
+        slot; inline, the compile runs to completion.  Either way the
+        result is discarded and the job stays CANCELLED.
 
         A farm daemon that is not responsible for the job (unowned shard,
         foreign attempt) must not write its record — only owners write,
@@ -1114,25 +1124,51 @@ class CompileService:
         finally:
             self._inflight.pop(record.job_id, None)
 
-    async def _slot_idle(self, slot: int) -> None:
+    async def _slot_idle(self, slot: int, boot_limit: float) -> None:
         """Wait until *slot*'s worker can start a task at once.
 
-        That is after a fresh pool's boot task, and after whatever the
-        slot ran last: another shard's job when shards share the slot, or
-        a cancelled attempt the worker is still computing.  None of that
-        is the next job's work, so its deadline starts only after."""
-        while not (busy := self._busy[slot]).done():
-            waiter = asyncio.wrap_future(busy)
+        That is after a fresh pool's boot task, and after another shard's
+        job when shards share the slot.  Neither is the next job's work,
+        so its deadline starts only after.  The other job is bounded as
+        its own shard's jobs are: by its timeout, or by a cancel, which
+        kills its worker.  The boot is timed on a clock of its own,
+        *boot_limit*: a worker that has not booted in time is killed and
+        rebooted, and the attempt is not charged.  A second overrun in a
+        row is charged like a crash, so a boot that always hangs
+        dead-letters the job instead of holding it RUNNING."""
+        overruns = 0
+        while not (busy := self._busy[slot])[0].done():
+            task, kind = busy
+            waiter = asyncio.wrap_future(task)
             waiter.add_done_callback(_ignore_outcome)
-            await asyncio.wait([waiter])
+            bound = boot_limit if kind == "boot" else None
+            done, _ = await asyncio.wait([waiter], timeout=bound)
+            if not done and self._busy[slot] is busy:
+                self._rebuild_slot(slot, kill=True)
+                overruns += 1
+                if overruns > 1:
+                    raise _RetryableJobError(
+                        f"worker did not boot within {boot_limit}s twice "
+                        f"(shard {slot} pool rebuilt)"
+                    )
+                log.warning(
+                    "shard %d: worker did not boot within %ss",
+                    slot,
+                    boot_limit,
+                )
 
     async def _attempt(
         self, record: Any, slot: int, progress_path: Path | None
     ) -> dict[str, Any]:
         """One pool attempt: wait for the slot off the clock, then run the
         job under its timeout."""
+        task: Future[Any] | None = None
         try:
-            await self._slot_idle(slot)
+            # A boot gets the job's budget or a lease, whichever is
+            # longer: a tight budget must not rule out a fresh worker.
+            await self._slot_idle(
+                slot, max(record.timeout or 0.0, self.lease_seconds)
+            )
             # No await between the idle check and the submit, so the job
             # starts in the worker now and the deadline times its compile.
             task = self._pools[slot].submit(
@@ -1142,11 +1178,24 @@ class CompileService:
                 record.keep_program,
                 str(progress_path) if progress_path is not None else None,
             )
-            self._busy[slot] = task
+            self._busy[slot] = (task, "job")
             future = asyncio.wrap_future(task)
             if record.timeout is not None:
                 return await asyncio.wait_for(future, record.timeout)
             return await future
+        except asyncio.CancelledError:
+            # The attempt's result will be discarded, and a cancelled
+            # compile is often a hung one: free the slot now rather than
+            # let the worker hold it until the compile ends, if ever.
+            # aclose() kills every worker itself.
+            if (
+                task is not None
+                and not task.cancel()
+                and not task.done()
+                and not self._closing
+            ):
+                self._rebuild_slot(slot, kill=True)
+            raise
         except asyncio.TimeoutError:
             self._rebuild_slot(slot, kill=True)
             raise _RetryableJobError(

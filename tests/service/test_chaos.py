@@ -19,6 +19,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -174,15 +175,20 @@ class TestTimeouts:
         assert "timed out after 0.75s" in status["error"]
 
     def test_timeout_excludes_worker_boot(self):
-        """A worker that takes longer to boot than the job's whole budget
-        must not time the job out: the clock starts when the worker
-        starts the job."""
-        plan = {"rules": [{"site": "worker.boot", "every": 1, "seconds": 1.5}]}
+        """Boot and compile each fit the job's budget but together
+        overrun it: the clock starts when the worker starts the job."""
+        plan = {
+            "rules": [
+                {"site": "worker.boot", "every": 1, "seconds": 1.5},
+                {"site": "job.slow", "every": 1, "match": "patient",
+                 "seconds": 1.5},
+            ]
+        }
 
         async def scenario():
             service = CompileService(shards=1, fault_plan=plan)
             job_id = await service.submit(
-                encode_job(fast_job("patient")), timeout=1.0
+                encode_job(fast_job("patient")), timeout=3.0
             )
             await service.result(job_id, wait=True, timeout=120)
             status = service.status(job_id)
@@ -192,6 +198,36 @@ class TestTimeouts:
         status = asyncio.run(scenario())
         assert status["state"] == "done"
         assert status["attempts"] == 1
+
+    def test_wedged_boot_is_rebooted_without_charging_the_job(self):
+        """A worker that never finishes booting is killed once the boot
+        overruns the longer of the job's budget and the lease; the job
+        runs on a fresh worker, still on its first attempt."""
+        plan = {
+            "rules": [
+                {"site": "worker.boot", "every": 1, "match": "pool#0",
+                 "seconds": 60.0}
+            ]
+        }
+
+        async def scenario():
+            service = CompileService(
+                shards=1, fault_plan=plan, lease_seconds=2.0
+            )
+            started = time.monotonic()
+            job_id = await service.submit(
+                encode_job(fast_job("rebooted")), timeout=1.0
+            )
+            await service.result(job_id, wait=True, timeout=120)
+            elapsed = time.monotonic() - started
+            status = service.status(job_id)
+            await service.aclose()
+            return status, elapsed
+
+        status, elapsed = asyncio.run(scenario())
+        assert status["state"] == "done"
+        assert status["attempts"] == 1
+        assert elapsed < 30.0
 
     def test_timeout_excludes_queueing_behind_a_shared_slot(self):
         """Two shards on one worker slot: a job must not be charged the
@@ -227,6 +263,32 @@ class TestTimeouts:
             assert status["attempts"] == 1
 
 
+    def test_always_wedged_boot_dead_letters(self):
+        """One boot overrun is free; a second in a row is charged, so a
+        worker that never boots fails the job instead of holding it
+        RUNNING."""
+        plan = {
+            "rules": [{"site": "worker.boot", "every": 1, "seconds": 60.0}]
+        }
+
+        async def scenario():
+            service = CompileService(
+                shards=1, fault_plan=plan, lease_seconds=1.0
+            )
+            job_id = await service.submit(
+                encode_job(fast_job("stranded")), timeout=1.0, max_retries=1
+            )
+            with pytest.raises(ServiceError, match="failed after 1 attempt"):
+                await service.result(job_id, wait=True, timeout=60)
+            status = service.status(job_id)
+            await service.aclose()
+            return status
+
+        status = asyncio.run(scenario())
+        assert status["state"] == "failed"
+        assert "did not boot within 1.0s twice" in status["error"]
+
+
 class TestCancelRunning:
     def test_cancel_revokes_lease_and_discards_result(self):
         """Cancelling a RUNNING job: the lease is revoked, the in-flight
@@ -249,6 +311,42 @@ class TestCancelRunning:
             return status
 
         assert asyncio.run(scenario())["state"] == "cancelled"
+
+    def test_cancelled_hung_job_frees_its_slot(self):
+        """Cancelling a hung compile kills its worker, so the next timed
+        job on the slot runs within its budget instead of queueing
+        behind the discarded attempt."""
+        plan = {
+            "rules": [
+                {"site": "job.slow", "every": 1, "match": "hung", "seconds": 20.0}
+            ]
+        }
+
+        async def scenario():
+            service = CompileService(shards=1, fault_plan=plan)
+            # A first job waits out the boot, so the hung one reaches the
+            # worker as soon as it is dispatched.
+            warm_id = await service.submit(encode_job(fast_job("warm")))
+            await service.result(warm_id, wait=True, timeout=120)
+            hung_id = await service.submit(encode_job(fast_job("hung")))
+            await wait_state(service, hung_id, "running")
+            await asyncio.sleep(0.5)
+            assert service.cancel(hung_id) is True
+            started = time.monotonic()
+            job_id = await service.submit(
+                encode_job(fast_job("next", seed=2)), timeout=1.0
+            )
+            await service.result(job_id, wait=True, timeout=120)
+            elapsed = time.monotonic() - started
+            statuses = [service.status(j) for j in (hung_id, job_id)]
+            await service.aclose()
+            return statuses, elapsed
+
+        (hung, after), elapsed = asyncio.run(scenario())
+        assert hung["state"] == "cancelled"
+        assert after["state"] == "done"
+        assert after["attempts"] == 1
+        assert elapsed < 10.0
 
 
 class TestBookkeepingFailures:
