@@ -49,13 +49,13 @@ def test_router_compile_speed():
         for name in ("BV-70", "QSim-rand-100"):
             row = {r["name"]: r for r in report["results"]}[name]
             assert row["emit_speedup_vs_pr3"] >= 2.0, row
-        # The candidate-pruning acceptance bar, on the probe-bound flagship
+        # The place_pair acceptance bar, on the probe-bound flagship
         # workloads only (the sub-20ms entries are noise-bound and can land
-        # either side of 1.0 even on the reference machine).  Interleaved
-        # same-process A/B against the PR 6 commit measured the pruned
-        # router at 1.15-1.28x on these; the bench protocol's cold
-        # min-of-2/3 runs recorded 1.19x (rand-100) and 1.10x (rand-200),
-        # so the bars sit just below the recorded ratios.
+        # either side of 1.0 even on the reference machine).  The ratio
+        # measures the place_pair summary fast path and the 1Q worklist
+        # against the pre-pruning recording; the bars sit just below the
+        # ratios the bench protocol's cold min-of-2/3 runs recorded, 1.19x
+        # (rand-100) and 1.10x (rand-200).
         for name, bar in (("QAOA-rand-100", 1.1), ("QAOA-rand-200", 1.05)):
             row = {r["name"]: r for r in report["results"]}[name]
             assert row["probe_speedup_vs_pr5"] >= bar, row
@@ -77,8 +77,8 @@ def test_quick_smoke_subset():
     deep and narrow, so its router time is dominated by the
     stage-emission phase the columnar ProgramStore rebuilt; QAOA-rand-50
     is the probe-bound case — wide and dense, so its router time is
-    dominated by the place_pair candidate scan the index-side pruning
-    and vectorized batch probe attack.
+    dominated by the place_pair candidate scan the summary fast path
+    keeps cheap.
     """
     wanted = ["QAOA-rand-50", "BV-50", "BV-70"]
     specs = [s for s in bench_suite() if s.name in wanted]

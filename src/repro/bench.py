@@ -94,7 +94,7 @@ PR2_SABRE_SECONDS: dict[str, float] = {
 
 #: Router wall-clock (seconds, this file's protocol) at the PR 6 commit
 #: (router unchanged since PR 5) — the pre-pruning router this PR's
-#: index-side candidate pruning, vectorized batch probe, and 1Q worklist
+#: place_pair summary fast path and 1Q worklist
 #: are measured against.  Re-measured at the PR 6 commit on the current
 #: reference machine because the machine slowed ~1.35x after the original
 #: PR 5 recording (that recording's QAOA-rand-200 was 0.864s; the same

@@ -40,11 +40,9 @@ rather than a full :meth:`engaged_atoms` rebuild.  Mutating ``row_maps`` /
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import NamedTuple
-
-import numpy as np
 
 from ..hardware.raa import AtomLocation, RAAArchitecture
 
@@ -84,194 +82,28 @@ def _snap_site(r: float, c: float) -> Site:
     return (round(r / _EPS) * _EPS, round(c / _EPS) * _EPS)
 
 
-#: Below this candidate count the scalar probe loop wins outright (PR 3
-#: measured numpy slower than scalars at 2–8 entries), so the vectorized
-#: batch probe only engages at or above it.
-_VEC_MIN = 12
-
-#: A per-axis digest run at most this long is probed by the exact scalar
-#: loop directly — cheaper than building a numpy mask over all candidates.
-_RUN_MAX = 8
-
-#: memo-miss sentinel (``None`` is a valid cached probe result)
-_MISS = object()
-
-
-class _ProbeIndex:
-    """Per-:class:`CandidateSet` feasibility digest over the snapped sites.
-
-    Holds, per axis, the candidate coordinates sorted by value alongside
-    the candidate indices in that order, plus (lazily) columnar numpy
-    arrays in best-first order.  :meth:`StagePlan.place_pair` uses these to
-    answer "can any site in this coordinate range satisfy this line
-    requirement?" without touching the plan, and to select a sound
-    *superset* of the candidates that can survive its silent
-    pinned/C2-window rejects.  Selection never drops a candidate that
-    could reach the C3 equality test (the ``overlap_blocked`` statistic)
-    or the commit attempt: every pruned candidate fails a check the
-    scalar loop rejects with a plain ``continue``.
-    """
-
-    __slots__ = ("vals", "order", "_rs", "_cs", "_coords", "_memo")
-
-    def __init__(self, pairs: list[tuple[Site, Site]]) -> None:
-        rs = [s[0] for _raw, s in pairs]
-        cs = [s[1] for _raw, s in pairs]
-        r_order = sorted(range(len(rs)), key=rs.__getitem__)
-        c_order = sorted(range(len(cs)), key=cs.__getitem__)
-        #: per-axis candidate coordinates sorted ascending
-        self.vals = ([rs[i] for i in r_order], [cs[i] for i in c_order])
-        #: per-axis candidate indices, parallel to ``vals``
-        self.order = (r_order, c_order)
-        self._rs = rs
-        self._cs = cs
-        self._coords: tuple[np.ndarray, np.ndarray] | None = None
-        #: query -> selection memo.  The probes are pure functions of the
-        #: digest, and their float inputs are quantized (committed line
-        #: targets and the windows derived from them), so the same handful
-        #: of queries recur across the whole route; capped as a safety
-        #: valve.  Entries are immutable (tuples/arrays callers only read).
-        self._memo: dict[tuple, tuple | np.ndarray | None] = {}
-
-    @property
-    def coords(self) -> tuple[np.ndarray, np.ndarray]:
-        """Columnar (rows, cols) float64 arrays in best-first order."""
-        if self._coords is None:
-            self._coords = (np.asarray(self._rs), np.asarray(self._cs))
-        return self._coords
-
-    def pin_run(self, coord: int, bound: float) -> tuple:
-        """Candidate indices within the snap tolerance of a pinned *bound*.
-
-        Exact complement of the scalar ``abs(bound - x) >= _EPS`` reject
-        (same subtraction, same tolerance), found as a contiguous run of
-        the sorted digest; the run scans terminate because the distance to
-        *bound* is monotone away from the bisect point.  Returned in
-        candidate (best-first) order.
-        """
-        memo = self._memo
-        key = (coord, bound)
-        run = memo.get(key, _MISS)
-        if run is not _MISS:
-            return run
-        vals = self.vals[coord]
-        order = self.order[coord]
-        j = bisect_left(vals, bound)
-        lo = j
-        while lo > 0 and abs(bound - vals[lo - 1]) < _EPS:
-            lo -= 1
-        hi = j
-        n = len(vals)
-        while hi < n and abs(bound - vals[hi]) < _EPS:
-            hi += 1
-        run = tuple(sorted(order[lo:hi]))
-        if len(memo) > 1024:
-            memo.clear()
-        memo[key] = run
-        return run
-
-    def window_run(
-        self, rpred: float, rsucc: float, cpred: float, csucc: float
-    ) -> tuple | None:
-        """Digest probe of the combined C2 windows.
-
-        Returns ``()`` when either axis window misses every candidate
-        coordinate (the whole scan is decided: all rejects are silent),
-        a short candidate-index run when one axis narrows the scan to at
-        most ``_RUN_MAX`` sites, or ``None`` when both runs are wide and
-        the caller should fall through to the batch/scalar probe.  The
-        2×``_EPS`` margin keeps the range a conservative superset of the
-        scalar ``pred > x + _EPS or succ < x - _EPS`` accept region.
-        """
-        memo = self._memo
-        key = (rpred, rsucc, cpred, csucc)
-        run = memo.get(key, _MISS)
-        if run is not _MISS:
-            return run
-        two = _EPS + _EPS
-        rv, cv = self.vals
-        a = bisect_left(rv, rpred - two)
-        b = bisect_right(rv, rsucc + two)
-        if a >= b:
-            run = ()
-        else:
-            a2 = bisect_left(cv, cpred - two)
-            b2 = bisect_right(cv, csucc + two)
-            if a2 >= b2:
-                run = ()
-            elif b - a <= b2 - a2:
-                run = (
-                    tuple(sorted(self.order[0][a:b]))
-                    if b - a <= _RUN_MAX
-                    else None
-                )
-            elif b2 - a2 <= _RUN_MAX:
-                run = tuple(sorted(self.order[1][a2:b2]))
-            else:
-                run = None
-        if len(memo) > 1024:
-            memo.clear()
-        memo[key] = run
-        return run
-
-    def vec_run(
-        self,
-        rpred: float,
-        rsucc: float,
-        cpred: float,
-        csucc: float,
-        max_r: float,
-        max_c: float,
-    ) -> np.ndarray:
-        """Vectorized batch probe: columnar bounds + C2 window masks over
-        all candidates in one shot.  Elementwise float64 ops are
-        IEEE-identical to the scalar expressions, so the kept set is
-        exactly the candidates the scalar loop would not silently reject
-        on these checks; ``flatnonzero`` preserves best-first order."""
-        memo = self._memo
-        key = (rpred, rsucc, cpred, csucc, max_r, max_c)
-        run = memo.get(key)
-        if run is not None:
-            return run
-        rs, cs = self.coords
-        keep = (rs >= -0.5) & (rs <= max_r)
-        keep &= (cs >= -0.5) & (cs <= max_c)
-        keep &= rs + _EPS >= rpred
-        keep &= rs - _EPS <= rsucc
-        keep &= cs + _EPS >= cpred
-        keep &= cs - _EPS <= csucc
-        run = np.flatnonzero(keep)
-        if len(memo) > 1024:
-            memo.clear()
-        memo[key] = run
-        return run
-
-
 class CandidateSet(NamedTuple):
     """Candidate interaction sites for one qubit pair, plus their
     coordinate extremes (over the snapped values) so the placement engine
     can reject a whole scan when a gate's feasibility window cannot touch
-    any candidate, and a :class:`_ProbeIndex` digest for index-side
-    candidate pruning (built for multi-candidate sets only)."""
+    any candidate."""
 
     sites: list[tuple[Site, Site]]  # (raw, snapped), best-first
     min_r: float
     max_r: float
     min_c: float
     max_c: float
-    probe: _ProbeIndex | None = None
 
     @classmethod
     def from_pairs(cls, pairs: list[tuple[Site, Site]]) -> "CandidateSet":
-        """Build a set (extremes + probe digest) from ``(raw, snapped)``
-        pairs — the one constructor both the router and direct
-        list-of-pairs callers go through."""
+        """Build a set (with its extremes) from ``(raw, snapped)`` pairs —
+        the one constructor both the router and direct list-of-pairs
+        callers go through."""
         if not pairs:
-            return cls(pairs, 0.0, 0.0, 0.0, 0.0, None)
+            return cls(pairs, 0.0, 0.0, 0.0, 0.0)
         rs = [s[0] for _raw, s in pairs]
         cs = [s[1] for _raw, s in pairs]
-        probe = _ProbeIndex(pairs) if len(pairs) > 1 else None
-        return cls(pairs, min(rs), max(rs), min(cs), max(cs), probe)
+        return cls(pairs, min(rs), max(rs), min(cs), max(cs))
 
 
 class LocationIndex:
@@ -650,29 +482,6 @@ class StagePlan:
 
     # -- map-extension feasibility ------------------------------------------------
 
-    def _line_ok(self, existing: dict[int, float], index: int, target: float) -> bool:
-        """Can line *index* map to *target* given the other entries?
-
-        Order preservation (C2) forbids *inversions*; overlap (C3) forbids
-        *equal* targets.  With both enforced the map is strictly monotone;
-        relaxing C3 alone still requires a weakly monotone map.
-
-        Reference (linear) implementation, kept for arbitrary dicts; the
-        hot path uses :meth:`_line_ok_fast` over the sorted mirrors.
-        """
-        bound = existing.get(index)
-        if bound is not None:
-            return abs(bound - target) < _EPS
-        for other_idx, other_t in existing.items():
-            if self.toggles.no_overlap and abs(other_t - target) < _EPS:
-                return False
-            if self.toggles.preserve_order:
-                if other_idx < index and other_t > target + _EPS:
-                    return False
-                if other_idx > index and other_t < target - _EPS:
-                    return False
-        return True
-
     def _line_ok_fast(
         self,
         axis: int,
@@ -681,8 +490,14 @@ class StagePlan:
         target: float,
         staged: list[tuple[int, int, int, float]],
     ) -> bool:
-        """O(log n) version of :meth:`_line_ok` against the committed map
-        plus the (tiny) *staged* requirement list of the current probe."""
+        """Can line *idx* map to *target* given the committed map plus the
+        (tiny) *staged* requirement list of the current probe?
+
+        Order preservation (C2) forbids *inversions*; overlap (C3) forbids
+        *equal* targets.  With both enforced the map is strictly monotone;
+        relaxing C3 alone still requires a weakly monotone map.  O(log n)
+        over the sorted line mirrors.
+        """
         bound = (self.row_maps if axis == _ROW else self.col_maps)[aod].get(idx)
         if bound is None:
             for ax2, aod2, idx2, t2 in staged:
@@ -806,8 +621,8 @@ class StagePlan:
         """
         if type(candidates) is not CandidateSet:
             # Direct list-of-pairs callers (tests, baselines) get extremes
-            # and the probe digest computed once at entry, so they hit the
-            # identical pruned path as router-built CandidateSets.
+            # computed once at entry, so they hit the identical summary path
+            # as router-built CandidateSets.
             candidates = CandidateSet.from_pairs(candidates)
         extremes = candidates
         candidates = candidates.sites
@@ -1006,41 +821,9 @@ class StagePlan:
                     # every probe would fail C2 (or the pinned coordinate),
                     # strict and relaxed alike.
                     return None, False
-                # Index-side candidate pruning: select a sound superset of
-                # the candidates that can survive the *silent* pinned /
-                # C2-window / bounds rejects below, so the best-first loop
-                # skips runs of doomed candidates.  Anything that could
-                # reach the C3 equality test (Fig. 24 ``overlap_blocked``)
-                # or a commit attempt always survives selection, and the
-                # scalar body re-applies every exact check, so results are
-                # bit-identical to the full scan.
-                n = len(candidates)
-                probe = extremes.probe
-                order = range(n)
-                if probe is not None:
-                    if rbound is not None:
-                        order = probe.pin_run(0, rbound)
-                    elif cbound is not None:
-                        order = probe.pin_run(1, cbound)
-                    else:
-                        sel = probe.window_run(rpred, rsucc, cpred, csucc)
-                        if sel is not None:
-                            order = sel
-                        elif n >= _VEC_MIN and (
-                            rpred != -inf
-                            or rsucc != inf
-                            or cpred != -inf
-                            or csucc != inf
-                        ):
-                            order = probe.vec_run(
-                                rpred, rsucc, cpred, csucc, max_r, max_c
-                            )
-                    if not len(order):
-                        return None, False
                 occupancy = self._occupancy
                 eng_mates: list[tuple[bool, float]] | None = None
-                for i in order:
-                    raw, site = candidates[i]
+                for raw, site in candidates:
                     if site in scheduled:
                         continue
                     r, c = site

@@ -100,15 +100,8 @@ def candidate_sites(
     architecture: RAAArchitecture,
     slm_sites: set[tuple[float, float]],
     limit: int,
-    walk_cache: dict[Site, tuple[Site, ...]] | None = None,
 ) -> list[Site]:
-    """Candidate interaction coordinates for a gate, best-first.
-
-    *walk_cache*, when given, memoizes the diamond-walk collection phase
-    per rounded base point (the walk depends only on the base, the fixed
-    bounds/SLM sites, and *limit*); the exact-anchor distance sort still
-    runs per call, so the returned order is unchanged.
-    """
+    """Candidate interaction coordinates for a gate, best-first."""
     la, lb = locations[qubit_a], locations[qubit_b]
     if la.is_slm:
         return [(float(la.row), float(la.col))]
@@ -123,33 +116,27 @@ def candidate_sites(
     # Expanding half-lattice diamond around the anchor.
     base_r = round(anchor_r * 2) / 2.0
     base_c = round(anchor_c * 2) / 2.0
-    cached = walk_cache.get((base_r, base_c)) if walk_cache is not None else None
-    if cached is not None:
-        points: list[Site] = list(cached)
-    else:
-        points = []
-        seen: set[Site] = set()
-        seen_add = seen.add
-        points_append = points.append
-        radius = 0.0
-        max_radius = max(max_r, max_c) + 1.0
-        while len(points) < limit and radius <= max_radius:
-            offsets = _diamond_offsets(radius)
-            for dr, dc in offsets:
-                for r, c in (
-                    (base_r + 0.5 + dr, base_c + 0.5 + dc),
-                    (base_r + dr, base_c + dc),
-                ):
-                    if not (-0.5 <= r <= max_r and -0.5 <= c <= max_c):
-                        continue
-                    site = (r, c)
-                    if site in seen or site in slm_sites:
-                        continue
-                    seen_add(site)
-                    points_append(site)
-            radius += 0.5
-        if walk_cache is not None:
-            walk_cache[(base_r, base_c)] = tuple(points)
+    points: list[Site] = []
+    seen: set[Site] = set()
+    seen_add = seen.add
+    points_append = points.append
+    radius = 0.0
+    max_radius = max(max_r, max_c) + 1.0
+    while len(points) < limit and radius <= max_radius:
+        offsets = _diamond_offsets(radius)
+        for dr, dc in offsets:
+            for r, c in (
+                (base_r + 0.5 + dr, base_c + 0.5 + dc),
+                (base_r + dr, base_c + dc),
+            ):
+                if not (-0.5 <= r <= max_r and -0.5 <= c <= max_c):
+                    continue
+                site = (r, c)
+                if site in seen or site in slm_sites:
+                    continue
+                seen_add(site)
+                points_append(site)
+        radius += 0.5
     keyed = [
         ((p[0] - anchor_r) ** 2 + (p[1] - anchor_c) ** 2, p) for p in points
     ]
@@ -179,10 +166,6 @@ class HighParallelismRouter:
         # the static location index, and the scratch plan persist across
         # route() calls as well as across stages and trials.
         self._site_cache: dict[tuple, CandidateSet] = {}
-        #: diamond-walk collection memo, keyed by rounded base point (the
-        #: walk is a pure function of the base given the fixed bounds, SLM
-        #: sites, and candidate limit — all router-lifetime constants).
-        self._walk_cache: dict[Site, tuple[Site, ...]] = {}
         self._plan_index = LocationIndex(locations)
         self._scratch_plan: StagePlan | None = None
 
@@ -194,8 +177,7 @@ class HighParallelismRouter:
         :class:`RydbergGate`; the snapped one is what the constraint
         engine compares against, pre-computed once instead of per probe,
         along with the coordinate extremes the engine's whole-scan
-        shortcuts test against and the probe digest its index-side
-        candidate pruning consults.
+        shortcuts test against.
         """
         key = (qubit_a, qubit_b)
         sites = self._site_cache.get(key)
@@ -220,7 +202,6 @@ class HighParallelismRouter:
                     self.architecture,
                     self._slm_sites,
                     self.config.max_candidate_sites,
-                    self._walk_cache,
                 )
             ]
             sites = CandidateSet.from_pairs(pairs)
