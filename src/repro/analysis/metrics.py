@@ -85,11 +85,14 @@ def program_aggregates(
 
 
 def geometric_mean(values: list[float], floor: float = 1e-12) -> float:
-    """Geometric mean with a floor for zero entries (the paper's GMean)."""
+    """Geometric mean with a floor for zero entries (the paper's GMean).
+
+    The logs are summed with ``math.fsum`` (exactly rounded), so the
+    result does not depend on the order of *values*."""
     if not values:
         return 0.0
     logs = [math.log(max(v, floor)) for v in values]
-    return math.exp(sum(logs) / len(logs))
+    return math.exp(math.fsum(logs) / len(logs))
 
 
 def improvement_ratio(baseline: float, ours: float, floor: float = 1e-12) -> float:

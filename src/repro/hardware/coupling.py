@@ -39,7 +39,9 @@ class CouplingMap:
         for a, b in edges:
             self.add_edge(int(a), int(b))
         self._dist: np.ndarray | None = None
+        self._dist_rows: list[list[int]] | None = None
         self._nbr_lists: tuple[np.ndarray, ...] | None = None
+        self._sorted_adj: tuple[tuple[int, ...], ...] | None = None
 
     def add_edge(self, a: int, b: int) -> None:
         """Insert the undirected edge ``(a, b)``."""
@@ -51,7 +53,9 @@ class CouplingMap:
         self.adj[b].add(a)
         self._edges.add((min(a, b), max(a, b)))
         self._dist = None
+        self._dist_rows = None
         self._nbr_lists = None
+        self._sorted_adj = None
 
     @property
     def edges(self) -> list[tuple[int, int]]:
@@ -85,6 +89,18 @@ class CouplingMap:
                 for s in self.adj
             )
         return self._nbr_lists
+
+    def sorted_neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Per-qubit sorted neighbor tuples of Python ints, cached on the
+        instance (the scalar SABRE scorer's counterpart of
+        :meth:`neighbor_lists`)."""
+        if self._sorted_adj is None:
+            self._sorted_adj = tuple(tuple(sorted(s)) for s in self.adj)
+        return self._sorted_adj
+
+    def max_degree(self) -> int:
+        """Largest number of neighbors any qubit has."""
+        return max(map(len, self.adj))
 
     # -- distances ------------------------------------------------------------
 
@@ -144,6 +160,13 @@ class CouplingMap:
                         dist[src, v] = dist[src, u] + 1
                         dq.append(v)
         return dist
+
+    def distance_rows(self) -> list[list[int]]:
+        """:meth:`distance_matrix` as nested lists of Python ints, cached on
+        the instance: indexing them skips numpy's per-element scalar boxing."""
+        if self._dist_rows is None:
+            self._dist_rows = self.distance_matrix().tolist()
+        return self._dist_rows
 
     def distance(self, a: int, b: int) -> int:
         """Hop distance between *a* and *b*."""

@@ -26,7 +26,12 @@ exactly 0.  All bookkeeping is integer-exact, so the floating-point scores —
 and therefore the chosen swap sequence — are bit-identical to the naive
 rescoring loop (pinned by the golden corpus in
 ``tests/transpile/golden_sabre.json`` and a per-decision differential test).
-Layout-search routes run the same loop without building an output circuit.
+On sparse maps (maximum degree up to :data:`SCALAR_SCORER_MAX_DEGREE`: the
+heavy-hex and FAA baselines) :class:`_ScalarScorer` keeps the same deltas in
+Python lists and dicts, which beats numpy's per-call overhead on a few dozen
+candidates; which scorer runs depends on the coupling map alone, and both
+make the same swaps.  Layout-search routes run the same loop without
+building an output circuit.
 """
 
 from __future__ import annotations
@@ -45,6 +50,12 @@ EXTENDED_SET_SIZE = 20
 EXTENDED_SET_WEIGHT = 0.5
 DECAY_INCREMENT = 0.001
 DECAY_RESET_INTERVAL = 5
+#: coupling maps of at most this maximum degree route with the pure-Python
+#: :class:`_ScalarScorer`, denser ones with the numpy
+#: :class:`_IncrementalScorer`.  The baseline maps have degree 3-8 and
+#: Atomique's multipartite maps for 40+ qubit circuits 27 and more; numpy
+#: only wins above degree ~30 (docs/ARCHITECTURE.md, "Incremental SABRE")
+SCALAR_SCORER_MAX_DEGREE = 16
 
 
 @dataclass
@@ -71,6 +82,8 @@ class SabreResult:
 
 def _extended_set(dag: DAGCircuit, front: set[int], limit: int) -> list[int]:
     """Successor 2Q gates of the front layer, up to *limit* entries."""
+    successors = dag.successors
+    two_qubit = dag.two_qubit
     out: list[int] = []
     seen: set[int] = set()
     queue = sorted(front)
@@ -78,11 +91,11 @@ def _extended_set(dag: DAGCircuit, front: set[int], limit: int) -> list[int]:
     while qi < len(queue) and len(out) < limit:
         node = queue[qi]
         qi += 1
-        for succ in dag.successors[node]:
+        for succ in successors[node]:
             if succ in seen:
                 continue
             seen.add(succ)
-            if dag.gates[succ].is_two_qubit:
+            if two_qubit[succ]:
                 out.append(succ)
                 if len(out) >= limit:
                     break
@@ -125,12 +138,12 @@ class _IncrementalScorer:
     candidates whose cost that swap could have moved.
     """
 
-    def __init__(self, coupling: CouplingMap, l2p: np.ndarray) -> None:
+    def __init__(self, coupling: CouplingMap, l2p: list[int] | np.ndarray) -> None:
         self._dist = coupling.distance_matrix()
         self._nbrs = coupling.neighbor_lists()
         n = coupling.num_qubits
         self._n = n
-        self.l2p = l2p
+        self.l2p = l2p = np.asarray(l2p, dtype=np.int64)
         self._p2l = np.full(n, -1, dtype=np.int64)
         present = l2p >= 0
         self._p2l[l2p[present]] = np.flatnonzero(present)
@@ -256,6 +269,14 @@ class _IncrementalScorer:
             total = front_cost
         return np.maximum(decay[self._cp1], decay[self._cp2]) * total
 
+    def fresh_decay(self) -> np.ndarray:
+        return np.ones(self._n)
+
+    def scored(self, decay: np.ndarray) -> list[tuple[tuple[int, int], float]]:
+        """``((p1, p2), score)`` for every candidate (the ``_audit`` view)."""
+        edges = zip(self._cp1.tolist(), self._cp2.tolist())
+        return list(zip(edges, self.scores(decay).tolist()))
+
     def select(self, decay: np.ndarray, rng: np.random.Generator) -> int:
         """Pick the candidate index SABRE-style (min score, seeded ties)."""
         sc = self.scores(decay)
@@ -369,6 +390,202 @@ class _IncrementalScorer:
             self._dext[touched] = self._ext_delta(s1, s2)
 
 
+class _ScalarScorer:
+    """:class:`_IncrementalScorer`'s bookkeeping in plain Python, for sparse maps.
+
+    Same integer deltas, float formula, tie order and rng draws, so the
+    chosen swaps are bit-identical; on the few dozen candidates of a
+    low-degree map, Python ints and lists beat numpy's per-call overhead.
+    Positions and front partners are lists; each physical qubit keeps the
+    logical partners of the extended-set pairs it hosts (so a swap only
+    exchanges two lists); the candidate set is a dict from edge
+    ``(p1, p2)``, ``p1 < p2``, to its ``(front delta, ext delta)``.
+    """
+
+    def __init__(self, coupling: CouplingMap, l2p: list[int]) -> None:
+        self._dist = coupling.distance_rows()
+        self._nbrs = coupling.sorted_neighbors()
+        n = coupling.num_qubits
+        self._n = n
+        self.l2p = list(l2p)
+        self._p2l = [-1] * n
+        for q, p in enumerate(self.l2p):
+            if p >= 0:
+                self._p2l[p] = q
+        #: physical -> its single front partner's physical position (or -1)
+        self._partner = [-1] * n
+        #: physical -> logical partners of the extended-set pairs it hosts
+        self._hosted: list[list[int]] = [[] for _ in range(n)]
+        self._ext_qubits: set[int] = set()
+        self._cands: dict[tuple[int, int], tuple[int, int]] = {}
+        self._F = 0
+        self._E = 0
+        self._base_front = 0
+        self._base_ext = 0
+
+    def _front_delta(self, s1: int, s2: int) -> int:
+        partner = self._partner
+        w1 = partner[s1]
+        if w1 == s2:  # the swap exchanges the endpoints of one front pair
+            return 0
+        w2 = partner[s2]
+        d = 0
+        if w1 >= 0:
+            row = self._dist[w1]
+            d += row[s2] - row[s1]
+        if w2 >= 0:
+            row = self._dist[w2]
+            d += row[s1] - row[s2]
+        return d
+
+    def _ext_delta(self, s1: int, s2: int) -> int:
+        """Exact integer extended-set cost change of swapping ``(s1, s2)``.
+
+        Only pairs hosted at ``s1`` or ``s2`` move; a pair hosted at both
+        keeps its distance, so it is skipped from either side."""
+        l2p = self.l2p
+        r1 = self._dist[s1]
+        r2 = self._dist[s2]
+        d = 0
+        for q in self._hosted[s1]:
+            o = l2p[q]
+            if o != s2:
+                d += r2[o] - r1[o]
+        for q in self._hosted[s2]:
+            o = l2p[q]
+            if o != s1:
+                d += r1[o] - r2[o]
+        return d
+
+    def begin_epoch(
+        self,
+        front_pairs: list[tuple[int, ...]],
+        ext_pairs: list[tuple[int, ...]],
+    ) -> None:
+        """Rebuild pair structures and score every candidate from scratch."""
+        l2p = self.l2p
+        dist = self._dist
+        hosted = self._hosted
+        self._partner = partner = [-1] * self._n
+        base_front = 0
+        for a, b in front_pairs:
+            pa = l2p[a]
+            pb = l2p[b]
+            partner[pa] = pb
+            partner[pb] = pa
+            base_front += dist[pa][pb]
+        for q in self._ext_qubits:
+            hosted[l2p[q]] = []
+        base_ext = 0
+        for a, b in ext_pairs:
+            pa = l2p[a]
+            pb = l2p[b]
+            hosted[pa].append(b)
+            hosted[pb].append(a)
+            base_ext += dist[pa][pb]
+        self._ext_qubits = {q for pair in ext_pairs for q in pair}
+        self._F = len(front_pairs)
+        self._E = len(ext_pairs)
+        self._base_front = base_front
+        self._base_ext = base_ext
+
+        cands = self._cands = {}
+        nbrs = self._nbrs
+        for a, b in front_pairs:
+            for p in (l2p[a], l2p[b]):
+                for nb in nbrs[p]:
+                    e = (p, nb) if p < nb else (nb, p)
+                    if e not in cands:
+                        cands[e] = (self._front_delta(*e), self._ext_delta(*e))
+
+    def fresh_decay(self) -> list[float]:
+        return [1.0] * self._n
+
+    def scored(self, decay: list[float]) -> list[tuple[tuple[int, int], float]]:
+        """``((p1, p2), score)`` for every candidate, by the numpy formula."""
+        F = self._F
+        E = self._E
+        bf = self._base_front
+        bx = self._base_ext
+        w = EXTENDED_SET_WEIGHT
+        out = []
+        for e, (df, dx) in self._cands.items():
+            d1 = decay[e[0]]
+            d2 = decay[e[1]]
+            total = (bf + df) / F + w * ((bx + dx) / E) if E else (bf + df) / F
+            out.append((e, (d1 if d1 >= d2 else d2) * total))
+        return out
+
+    def select(self, decay: list[float], rng: np.random.Generator) -> tuple[int, int]:
+        """Pick the candidate edge SABRE-style (min score, seeded ties)."""
+        scored = self.scored(decay)
+        cut = min(sc for _, sc in scored) + 1e-12
+        ties = sorted((sc, e) for e, sc in scored if sc <= cut)
+        return ties[int(rng.integers(0, len(ties)))][1]
+
+    def edge(self, e: tuple[int, int]) -> tuple[int, int]:
+        return e
+
+    def commit(self, e: tuple[int, int]) -> None:
+        """Apply the swap on edge *e* and delta-refresh touched candidates."""
+        p1, p2 = e
+        cands = self._cands
+        df, dx = cands[e]
+        self._base_front += df
+        self._base_ext += dx
+
+        # Swap the physical contents; hosted ext partners move with them.
+        l2p = self.l2p
+        p2l = self._p2l
+        l1 = p2l[p1]
+        l2 = p2l[p2]
+        if l1 >= 0:
+            l2p[l1] = p2
+        if l2 >= 0:
+            l2p[l2] = p1
+        p2l[p1] = l2
+        p2l[p2] = l1
+        hosted = self._hosted
+        hosted[p1], hosted[p2] = hosted[p2], hosted[p1]
+
+        # Affected vertices: the swapped qubits plus the partners of every
+        # pair they host — only candidates touching one can change delta.
+        affected = {p1, p2}
+        for q in hosted[p1]:
+            affected.add(l2p[q])
+        for q in hosted[p2]:
+            affected.add(l2p[q])
+        # Front partners move with their qubits (no-op for a swap between
+        # the two endpoints of one pair).
+        partner = self._partner
+        w1 = partner[p1]
+        w2 = partner[p2]
+        if w1 != p2:
+            partner[p1] = w2
+            partner[p2] = w1
+            if w1 >= 0:
+                partner[w1] = p2
+                affected.add(w1)
+            if w2 >= 0:
+                partner[w2] = p1
+                affected.add(w2)
+
+        # Candidate set: membership only changes when exactly one of the
+        # swapped positions hosted a front qubit.
+        if (w1 >= 0) != (w2 >= 0):
+            gone, newly = (p1, p2) if w1 >= 0 else (p2, p1)
+            for nb in self._nbrs[gone]:
+                if partner[nb] < 0:
+                    del cands[(gone, nb) if gone < nb else (nb, gone)]
+            for nb in self._nbrs[newly]:
+                # Fresh entries touch `newly`, so the refresh scores them.
+                cands.setdefault((newly, nb) if newly < nb else (nb, newly), (0, 0))
+
+        for c in cands:
+            if c[0] in affected or c[1] in affected:
+                cands[c] = (self._front_delta(*c), self._ext_delta(*c))
+
+
 def sabre_route(
     circuit: QuantumCircuit,
     coupling: CouplingMap,
@@ -386,11 +603,15 @@ def sabre_route(
     ``dag`` optionally supplies a prebuilt dependency DAG of *circuit*
     (it is reset and consumed) so repeated routes of the same circuit —
     the layout search's 2xN reverse traversals — skip reconstruction.
+    The swap scorer is picked from *coupling* alone: maps of maximum degree
+    up to :data:`SCALAR_SCORER_MAX_DEGREE` use :class:`_ScalarScorer`,
+    denser ones :class:`_IncrementalScorer`; both choose the same swaps.
     ``_audit`` is a test hook called once per swap decision with the
-    scorer's candidate arrays and the exact state a naive rescoring loop
-    needs to reproduce them.  ``_emit=False`` (the layout search, which
-    keeps only the final layout) runs the same decisions without building
-    the routed circuit: the result's circuit stays empty.
+    scorer (whose ``scored(decay)`` lists every candidate's score) and the
+    exact state a naive rescoring loop needs to reproduce them.
+    ``_emit=False`` (the layout search, which keeps only the final layout)
+    runs the same decisions without building the routed circuit: the
+    result's circuit stays empty.
     """
     if circuit.num_qubits > coupling.num_qubits:
         raise ValueError(
@@ -404,19 +625,20 @@ def sabre_route(
         dag = DAGCircuit(circuit)
     else:
         dag.reset()
-    coupling.distance_matrix()  # materialize the cached artifact up front
     out = QuantumCircuit(coupling.num_qubits, circuit.name)
-    decay = np.ones(coupling.num_qubits)
     num_swaps = 0
     swap_indices: list[int] = []
     steps_since_progress = 0
 
     l2p_map = layout.as_dict()
     num_slots = max(l2p_map) + 1 if l2p_map else 0
-    l2p = np.full(num_slots, -1, dtype=np.int64)
+    l2p = [-1] * num_slots
     for q, p in l2p_map.items():
         l2p[q] = p
-    scorer = _IncrementalScorer(coupling, l2p)
+    sparse = coupling.max_degree() <= SCALAR_SCORER_MAX_DEGREE
+    scorer = (_ScalarScorer if sparse else _IncrementalScorer)(coupling, l2p)
+    l2p = scorer.l2p
+    decay = scorer.fresh_decay()
 
     gates = dag.gates
     two_qubit = dag.two_qubit
@@ -477,10 +699,10 @@ def sabre_route(
         decay[p2] += DECAY_INCREMENT
         steps_since_progress += 1
         if steps_since_progress >= DECAY_RESET_INTERVAL:
-            decay[:] = 1.0
+            decay = scorer.fresh_decay()
             steps_since_progress = 0
         if flush_executable():
-            decay[:] = 1.0
+            decay = scorer.fresh_decay()
             steps_since_progress = 0
             front_dirty = True
 

@@ -1,6 +1,7 @@
 """Tests for the analysis/metrics utilities."""
 
 import math
+import random
 
 import pytest
 
@@ -27,6 +28,16 @@ class TestGeometricMean:
 
     def test_order_invariant(self):
         assert geometric_mean([2, 3, 4]) == pytest.approx(geometric_mean([4, 2, 3]))
+
+    def test_permuted_input_gives_identical_float(self):
+        # Gate counts and fidelities as a service run appends them, in
+        # whatever order its jobs finish: the float must not move.
+        rng = random.Random(43)
+        values = [rng.choice([rng.randint(20, 900), rng.random()]) for _ in range(60)]
+        want = geometric_mean(values)
+        for _ in range(20):
+            rng.shuffle(values)
+            assert geometric_mean(values) == want
 
 
 class TestImprovementRatio:

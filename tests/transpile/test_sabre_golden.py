@@ -2,12 +2,14 @@
 
 The golden corpus (``golden_sabre.json``) was captured from the naive
 rescoring implementation; the incremental rewrite must reproduce every swap
-sequence, final layout, and routed gate stream bit-for-bit.  The
-differential test replays real routing runs and cross-checks the scorer's
-delta-maintained candidate scores against a from-scratch naive rescoring
-loop at every single swap decision.  A hypothesis differential checks the
-extended-set broadcast against the per-ext-pair loop it replaced, and the
-layout search's output-free routes against emitting ones.
+sequence, final layout, and routed gate stream bit-for-bit, with either
+swap scorer (the numpy one for dense maps, the scalar one for sparse maps).
+The differential test replays real routing runs and cross-checks each
+scorer's delta-maintained candidate scores against a from-scratch naive
+rescoring loop at every single swap decision.  A hypothesis differential
+checks the extended-set broadcast and the scalar per-candidate routine
+against the per-ext-pair loop the broadcast replaced, and the layout
+search's output-free routes against emitting ones.
 """
 
 import numpy as np
@@ -20,16 +22,20 @@ from repro.circuits.decompose import lower_to_two_qubit
 from repro.generators import qaoa_random
 from repro.hardware import CouplingMap, RAAArchitecture, grid_coupling
 from repro.transpile import Layout, route_with_sabre, sabre_layout, sabre_route
+from repro.transpile import sabre
 from repro.transpile.sabre import (
     EXTENDED_SET_SIZE,
     EXTENDED_SET_WEIGHT,
+    SCALAR_SCORER_MAX_DEGREE,
     _IncrementalScorer,
+    _ScalarScorer,
     _sorted_unique,
     _spread_layout,
     sabre_route as _sabre_route,
 )
 
 from .sabre_golden_corpus import (
+    capture_all,
     full_cases,
     layout_cases,
     layout_fingerprint,
@@ -42,6 +48,23 @@ from .sabre_golden_corpus import (
 @pytest.fixture(scope="module")
 def golden():
     return load_golden()
+
+
+#: ``SCALAR_SCORER_MAX_DEGREE`` values that force each scorer on every map
+_FORCE = {"numpy": -1, "scalar": 1 << 30}
+_SCORERS = {"numpy": _IncrementalScorer, "scalar": _ScalarScorer}
+
+
+def _circulant(n, offsets):
+    """``n`` qubits on a ring, each coupled to the ones *offsets* away."""
+    return CouplingMap(n, {(i, (i + k) % n) for i in range(n) for k in offsets})
+
+
+#: maps on either side of the degree gate: 16 and 17 neighbours per qubit
+_GATE_MAPS = {
+    "deg16": lambda: _circulant(24, range(1, 9)),
+    "deg17": lambda: _circulant(24, [*range(1, 9), 12]),
+}
 
 
 @pytest.mark.parametrize("name", sorted(route_cases()))
@@ -95,14 +118,35 @@ def naive_scores(dist, l2p, decay, front_pairs, ext_pairs, candidates):
 
 
 class TestDifferentialScores:
-    """Incremental delta-updated scores == naive rescoring, every decision."""
+    """Incremental delta-updated scores == naive rescoring, every decision,
+    with the scorer the degree gate picks: the scalar one on every map
+    here but the degree-17 one.  The subclasses force one scorer."""
+
+    #: scorer to force on every map (a ``_FORCE`` key), or None for the gate
+    force = None
+
+    @pytest.fixture(autouse=True)
+    def _force_scorer(self, monkeypatch):
+        if self.force is not None:
+            monkeypatch.setattr(
+                sabre, "SCALAR_SCORER_MAX_DEGREE", _FORCE[self.force]
+            )
 
     def _run_with_audit(self, circuit, coupling, seed):
         decisions = {"count": 0}
+        if self.force is not None:
+            want_cls = _SCORERS[self.force]
+        elif coupling.max_degree() <= SCALAR_SCORER_MAX_DEGREE:
+            want_cls = _ScalarScorer
+        else:
+            want_cls = _IncrementalScorer
 
         def audit(scorer, front_pairs, ext_pairs, l2p, decay):
+            assert type(scorer) is want_cls
             dist = coupling.distance_matrix()
-            cand = list(zip(scorer._cp1.tolist(), scorer._cp2.tolist()))
+            scored = scorer.scored(decay)
+            cand = [edge for edge, _ in scored]
+            assert len(set(cand)) == len(cand)
             # Candidate set: every coupling edge touching a front qubit.
             active = {int(l2p[q]) for pair in front_pairs for q in pair}
             expected = {
@@ -111,9 +155,8 @@ class TestDifferentialScores:
                 for nb in coupling.neighbors(p)
             }
             assert set(cand) == expected
-            got = scorer.scores(decay)
             want = naive_scores(dist, l2p, decay, front_pairs, ext_pairs, cand)
-            for (edge, g) in zip(cand, got.tolist()):
+            for edge, g in scored:
                 assert g == want[edge], f"score drift on edge {edge}"
             decisions["count"] += 1
 
@@ -145,6 +188,19 @@ class TestDifferentialScores:
         cm = CouplingMap(4, [(0, 1), (1, 2), (2, 3)])
         res = self._run_with_audit(circ, cm, seed=0)
         assert res.num_swaps >= 2
+
+    @pytest.mark.parametrize("name", sorted(_GATE_MAPS))
+    def test_gate_maps(self, name):
+        circ = random_circuit(20, 6.0, 4.0, seed=5)
+        self._run_with_audit(circ, _GATE_MAPS[name](), seed=5)
+
+
+class TestDifferentialScoresNumpy(TestDifferentialScores):
+    force = "numpy"
+
+
+class TestDifferentialScoresScalar(TestDifferentialScores):
+    force = "scalar"
 
 
 def test_prebuilt_dag_reuse_matches_fresh():
@@ -223,7 +279,8 @@ def ext_cases(draw):
 
 
 def _check_ext_delta(n, edges, l2p, ext):
-    """Broadcast deltas == loop deltas for every ordered physical pair."""
+    """Broadcast deltas == scalar deltas == loop deltas for every ordered
+    physical pair."""
     scorer = _IncrementalScorer(CouplingMap(n, edges), np.array(l2p, np.int64))
     scorer.begin_epoch([(0, 1)], ext)
     s1, s2 = (a.ravel() for a in np.indices((n, n)))
@@ -235,7 +292,11 @@ def _check_ext_delta(n, edges, l2p, ext):
     )
     assert got.dtype == np.int64
     assert np.array_equal(got, want)
-    return dict(zip(zip(s1.tolist(), s2.tolist()), got.tolist()))
+    scalar = _ScalarScorer(CouplingMap(n, edges), l2p)
+    scalar.begin_epoch([(0, 1)], ext)
+    pairs = list(zip(s1.tolist(), s2.tolist()))
+    assert [scalar._ext_delta(a, b) for a, b in pairs] == want.tolist()
+    return dict(zip(pairs, got.tolist()))
 
 
 @settings(max_examples=150, deadline=None)
@@ -244,6 +305,29 @@ def _check_ext_delta(n, edges, l2p, ext):
 @example((6, [(i, i + 1) for i in range(5)], [0, 1, 2, 3, 4, 5], [(0, 3)] * 3))
 def test_ext_delta_broadcast_matches_loop(case):
     _check_ext_delta(*case)
+
+
+def test_front_delta_scorers_match_naive():
+    """Both scorers' front deltas == re-summed front distances, for every
+    ordered physical pair, including a swap of one front pair's endpoints
+    (which routing never scores: such a pair would already be executable)."""
+    n, edges = 8, [(i, i + 1) for i in range(7)]
+    front = [(1, 4), (2, 6)]
+    cm = CouplingMap(n, edges)
+    dist = cm.distance_matrix()
+    vec = _IncrementalScorer(cm, np.arange(n))
+    scalar = _ScalarScorer(cm, list(range(n)))
+    for scorer in (vec, scalar):
+        scorer.begin_epoch(front, [])
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    got = vec._front_delta(*(np.array(side) for side in zip(*pairs)))
+    for (a, b), g in zip(pairs, got.tolist()):
+        moved = {a: b, b: a}
+        want = sum(
+            int(dist[moved.get(u, u), moved.get(v, v)]) - int(dist[u, v])
+            for u, v in front
+        )
+        assert g == want == scalar._front_delta(a, b), (a, b)
 
 
 class TestExtDeltaCases:
@@ -272,6 +356,39 @@ class TestExtDeltaCases:
         deltas = _check_ext_delta(8, self.line, list(range(8)), [(0, 2)])
         assert deltas[(5, 6)] == 0 and deltas[(4, 7)] == 0
         assert deltas[(2, 3)] == 1
+
+
+# -- scorer choice: both scorers make the same swaps ----------------------------
+
+
+def test_gate_maps_straddle_the_threshold():
+    assert _GATE_MAPS["deg16"]().max_degree() == SCALAR_SCORER_MAX_DEGREE
+    assert _GATE_MAPS["deg17"]().max_degree() == SCALAR_SCORER_MAX_DEGREE + 1
+
+
+def _fingerprints():
+    """Route, layout and full-pipeline fingerprint of every golden case,
+    plus a route and a full pipeline on each side of the degree gate."""
+    out = capture_all()
+    circ = random_circuit(20, 6.0, 4.0, seed=5)
+    for name, cm_f in sorted(_GATE_MAPS.items()):
+        res = sabre_route(circ, cm_f(), Layout.trivial(20), seed=5)
+        out["route"][name] = route_fingerprint(res)
+        out["full"][name] = route_fingerprint(route_with_sabre(circ, cm_f(), seed=5))
+    return out
+
+
+def test_forced_scorers_match_golden_and_each_other(golden, monkeypatch):
+    """Every golden case and both gate-side maps, once per forced scorer:
+    identical fingerprints, and the golden ones unchanged."""
+    runs = {}
+    for which, limit in sorted(_FORCE.items()):
+        monkeypatch.setattr(sabre, "SCALAR_SCORER_MAX_DEGREE", limit)
+        runs[which] = _fingerprints()
+    assert runs["numpy"] == runs["scalar"]
+    for kind in ("route", "layout", "full"):
+        for name, want in golden[kind].items():
+            assert runs["scalar"][kind][name] == want, (kind, name)
 
 
 # -- output-free layout-search routes ------------------------------------------
