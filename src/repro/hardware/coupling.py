@@ -41,7 +41,6 @@ class CouplingMap:
         self._dist: np.ndarray | None = None
         self._dist_rows: list[list[int]] | None = None
         self._nbr_lists: tuple[np.ndarray, ...] | None = None
-        self._sorted_adj: tuple[tuple[int, ...], ...] | None = None
 
     def add_edge(self, a: int, b: int) -> None:
         """Insert the undirected edge ``(a, b)``."""
@@ -55,7 +54,6 @@ class CouplingMap:
         self._dist = None
         self._dist_rows = None
         self._nbr_lists = None
-        self._sorted_adj = None
 
     @property
     def edges(self) -> list[tuple[int, int]]:
@@ -89,14 +87,6 @@ class CouplingMap:
                 for s in self.adj
             )
         return self._nbr_lists
-
-    def sorted_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """Per-qubit sorted neighbor tuples of Python ints, cached on the
-        instance (the scalar SABRE scorer's counterpart of
-        :meth:`neighbor_lists`)."""
-        if self._sorted_adj is None:
-            self._sorted_adj = tuple(tuple(sorted(s)) for s in self.adj)
-        return self._sorted_adj
 
     def max_degree(self) -> int:
         """Largest number of neighbors any qubit has."""

@@ -27,11 +27,11 @@ and therefore the chosen swap sequence — are bit-identical to the naive
 rescoring loop (pinned by the golden corpus in
 ``tests/transpile/golden_sabre.json`` and a per-decision differential test).
 On sparse maps (maximum degree up to :data:`SCALAR_SCORER_MAX_DEGREE`: the
-heavy-hex and FAA baselines) :class:`_ScalarScorer` keeps the same deltas in
-Python lists and dicts, which beats numpy's per-call overhead on a few dozen
-candidates; which scorer runs depends on the coupling map alone, and both
-make the same swaps.  Layout-search routes run the same loop without
-building an output circuit.
+heavy-hex and FAA baselines, and Atomique's maps for circuits of up to ~50
+qubits) :class:`_ScalarScorer` keeps the same deltas in Python lists and
+dicts, which beats numpy's per-call overhead on small candidate sets; which
+scorer runs depends on the coupling map alone, and both make the same swaps.
+Layout-search routes run the same loop without building an output circuit.
 """
 
 from __future__ import annotations
@@ -52,10 +52,10 @@ DECAY_INCREMENT = 0.001
 DECAY_RESET_INTERVAL = 5
 #: coupling maps of at most this maximum degree route with the pure-Python
 #: :class:`_ScalarScorer`, denser ones with the numpy
-#: :class:`_IncrementalScorer`.  The baseline maps have degree 3-8 and
-#: Atomique's multipartite maps for 40+ qubit circuits 27 and more; numpy
-#: only wins above degree ~30 (docs/ARCHITECTURE.md, "Incremental SABRE")
-SCALAR_SCORER_MAX_DEGREE = 16
+#: :class:`_IncrementalScorer`.  Replaying Atomique's own routes, scalar is
+#: faster up to degree ~38 and numpy from ~42-50 on (docs/ARCHITECTURE.md,
+#: "Incremental SABRE"); the benchmark maps have degree 3-29 or 47-138
+SCALAR_SCORER_MAX_DEGREE = 40
 
 
 @dataclass
@@ -394,8 +394,8 @@ class _ScalarScorer:
     """:class:`_IncrementalScorer`'s bookkeeping in plain Python, for sparse maps.
 
     Same integer deltas, float formula, tie order and rng draws, so the
-    chosen swaps are bit-identical; on the few dozen candidates of a
-    low-degree map, Python ints and lists beat numpy's per-call overhead.
+    chosen swaps are bit-identical; on the candidate sets of a sparse map,
+    Python ints and lists beat numpy's per-call overhead.
     Positions and front partners are lists; each physical qubit keeps the
     logical partners of the extended-set pairs it hosts (so a swap only
     exchanges two lists); the candidate set is a dict from edge
@@ -404,7 +404,7 @@ class _ScalarScorer:
 
     def __init__(self, coupling: CouplingMap, l2p: list[int]) -> None:
         self._dist = coupling.distance_rows()
-        self._nbrs = coupling.sorted_neighbors()
+        self._nbrs = coupling.adj
         n = coupling.num_qubits
         self._n = n
         self.l2p = list(l2p)

@@ -60,10 +60,10 @@ def _circulant(n, offsets):
     return CouplingMap(n, {(i, (i + k) % n) for i in range(n) for k in offsets})
 
 
-#: maps on either side of the degree gate: 16 and 17 neighbours per qubit
+#: maps on either side of the degree gate: 40 and 41 neighbours per qubit
 _GATE_MAPS = {
-    "deg16": lambda: _circulant(24, range(1, 9)),
-    "deg17": lambda: _circulant(24, [*range(1, 9), 12]),
+    "deg40": lambda: _circulant(48, range(1, 21)),
+    "deg41": lambda: _circulant(48, [*range(1, 21), 24]),
 }
 
 
@@ -119,27 +119,19 @@ def naive_scores(dist, l2p, decay, front_pairs, ext_pairs, candidates):
 
 class TestDifferentialScores:
     """Incremental delta-updated scores == naive rescoring, every decision,
-    with the scorer the degree gate picks: the scalar one on every map
-    here but the degree-17 one.  The subclasses force one scorer."""
+    with the scalar scorer forced on every map; the subclass forces the
+    numpy one."""
 
-    #: scorer to force on every map (a ``_FORCE`` key), or None for the gate
-    force = None
+    #: scorer forced on every map (a ``_FORCE`` key)
+    force = "scalar"
 
     @pytest.fixture(autouse=True)
     def _force_scorer(self, monkeypatch):
-        if self.force is not None:
-            monkeypatch.setattr(
-                sabre, "SCALAR_SCORER_MAX_DEGREE", _FORCE[self.force]
-            )
+        monkeypatch.setattr(sabre, "SCALAR_SCORER_MAX_DEGREE", _FORCE[self.force])
 
     def _run_with_audit(self, circuit, coupling, seed):
         decisions = {"count": 0}
-        if self.force is not None:
-            want_cls = _SCORERS[self.force]
-        elif coupling.max_degree() <= SCALAR_SCORER_MAX_DEGREE:
-            want_cls = _ScalarScorer
-        else:
-            want_cls = _IncrementalScorer
+        want_cls = _SCORERS[self.force]
 
         def audit(scorer, front_pairs, ext_pairs, l2p, decay):
             assert type(scorer) is want_cls
@@ -191,16 +183,12 @@ class TestDifferentialScores:
 
     @pytest.mark.parametrize("name", sorted(_GATE_MAPS))
     def test_gate_maps(self, name):
-        circ = random_circuit(20, 6.0, 4.0, seed=5)
+        circ = random_circuit(48, 3.0, 4.0, seed=5)
         self._run_with_audit(circ, _GATE_MAPS[name](), seed=5)
 
 
 class TestDifferentialScoresNumpy(TestDifferentialScores):
     force = "numpy"
-
-
-class TestDifferentialScoresScalar(TestDifferentialScores):
-    force = "scalar"
 
 
 def test_prebuilt_dag_reuse_matches_fresh():
@@ -362,17 +350,28 @@ class TestExtDeltaCases:
 
 
 def test_gate_maps_straddle_the_threshold():
-    assert _GATE_MAPS["deg16"]().max_degree() == SCALAR_SCORER_MAX_DEGREE
-    assert _GATE_MAPS["deg17"]().max_degree() == SCALAR_SCORER_MAX_DEGREE + 1
+    """The gate picks the scalar scorer up to the threshold degree and the
+    numpy one above it."""
+    picked = {}
+
+    def audit(scorer, *state):
+        picked.setdefault(name, type(scorer))
+
+    circ = random_circuit(48, 3.0, 4.0, seed=5)
+    for name, cm_f in _GATE_MAPS.items():
+        _sabre_route(circ, cm_f(), Layout.trivial(48), seed=5, _audit=audit)
+    assert _GATE_MAPS["deg40"]().max_degree() == SCALAR_SCORER_MAX_DEGREE
+    assert _GATE_MAPS["deg41"]().max_degree() == SCALAR_SCORER_MAX_DEGREE + 1
+    assert picked == {"deg40": _ScalarScorer, "deg41": _IncrementalScorer}
 
 
 def _fingerprints():
     """Route, layout and full-pipeline fingerprint of every golden case,
     plus a route and a full pipeline on each side of the degree gate."""
     out = capture_all()
-    circ = random_circuit(20, 6.0, 4.0, seed=5)
+    circ = random_circuit(48, 3.0, 4.0, seed=5)
     for name, cm_f in sorted(_GATE_MAPS.items()):
-        res = sabre_route(circ, cm_f(), Layout.trivial(20), seed=5)
+        res = sabre_route(circ, cm_f(), Layout.trivial(48), seed=5)
         out["route"][name] = route_fingerprint(res)
         out["full"][name] = route_fingerprint(route_with_sabre(circ, cm_f(), seed=5))
     return out
